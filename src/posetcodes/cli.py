@@ -14,16 +14,11 @@ import json
 import sys
 from pathlib import Path
 
-from .codes import (
-    enumerate_maximal_flags,
-    load_code,
-    support_of_code,
-    weight_hierarchy,
-)
+from .codes import analyze_code, load_code, support_of_code
 from .counting import census, chain_condition_lower_bound, load_partition
 from .errors import BudgetExceeded, InputError
 from .linalg import DEFAULT_BUDGET
-from .poset import load_poset, poset_from_dict
+from .poset import _read_json, load_poset, poset_from_dict
 from .verify import batch_checks, instance_checks
 
 EXIT_OK = 0
@@ -35,12 +30,6 @@ EXIT_PROPERTY = 4
 
 def _common_options(p):
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="enumeration budget")
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count; results never depend on it (currently single-threaded)",
-    )
     p.add_argument("--out", type=Path, help="write the JSON report to a file")
 
 
@@ -110,13 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- shared helpers ---------------------------------------------------------------
 
 
-def _read_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON: {exc}") from None
-
-
 def _load_instance(args):
     pdict = _read_json(args.poset)
     poset = poset_from_dict(pdict)
@@ -162,7 +144,7 @@ def _render_flag(flag):
 
 def _cmd_hierarchy(args):
     code, _ = _load_instance(args)
-    hier = weight_hierarchy(code, args.budget)
+    hier = analyze_code(code, args.budget).hierarchy
     supp = sorted(support_of_code(code))
     report = {
         "q": code.field.q,
@@ -178,31 +160,30 @@ def _cmd_hierarchy(args):
 
 def _analyze_flags(args):
     code, _ = _load_instance(args)
-    hier = weight_hierarchy(code, args.budget)
-    flags = enumerate_maximal_flags(code, args.budget)
-    return code, hier, flags
+    analysis = analyze_code(code, args.budget)
+    return analysis.hierarchy, analysis.flag_count, analysis.witness()
 
 
 def _cmd_chain(args):
-    _, hier, flags = _analyze_flags(args)
-    satisfied = bool(flags)
+    hier, count, flag = _analyze_flags(args)
+    satisfied = flag is not None
     report = {
         "hierarchy": list(hier),
         "chain_condition": satisfied,
-        "flag": _render_flag(flags[0]) if satisfied else None,
-        "unique": len(flags) == 1 if satisfied else False,
+        "flag": _render_flag(flag) if satisfied else None,
+        "unique": count == 1,
     }
     _emit(report, args)
     return EXIT_OK if satisfied else EXIT_CONDITION_FAILS
 
 
 def _cmd_flag(args):
-    _, hier, flags = _analyze_flags(args)
-    satisfied = bool(flags)
+    _, count, flag = _analyze_flags(args)
+    satisfied = flag is not None
     report = {
-        "flag": _render_flag(flags[0]) if satisfied else None,
-        "weights": list(flags[0].weights) if satisfied else None,
-        "flag_count": len(flags),
+        "flag": _render_flag(flag) if satisfied else None,
+        "weights": list(flag.weights) if satisfied else None,
+        "flag_count": count,
     }
     _emit(report, args)
     return EXIT_OK if satisfied else EXIT_CONDITION_FAILS
@@ -285,9 +266,6 @@ def _cmd_verify(args):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.handler(args)
     except BudgetExceeded as exc:

@@ -11,6 +11,7 @@ exercised against a full-enumeration oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     BudgetExceeded,
@@ -25,8 +26,11 @@ from .linalg import (
     GeneratorFile,
     Matrix,
     Subspace,
+    _combine,
+    _rref_canonical_forms,
     _rref_rows,
     enumerate_subspaces,
+    gaussian_binomial,
     is_subspace_of,
     read_generator_file,
     span,
@@ -91,11 +95,16 @@ class LinearCode:
         return self.subspace.field
 
 
-def support_of_code(c: LinearCode) -> frozenset[int]:
-    """Union of codeword supports; equals the union over the basis rows."""
+def _code_support_mask(c: LinearCode) -> int:
     mask = 0
     for row in c.subspace.basis:
         mask |= _support_mask(row)
+    return mask
+
+
+def support_of_code(c: LinearCode) -> frozenset[int]:
+    """Union of codeword supports; equals the union over the basis rows."""
+    mask = _code_support_mask(c)
     return frozenset(i + 1 for i in range(c.n) if (mask >> i) & 1)
 
 
@@ -285,6 +294,229 @@ def verify_achiever_nesting(
                 f"hierarchy says {hier[r - 1]}"
             )
     return all(is_subspace_of(cands[i], cands[i + 1]) for i in range(c.k - 1))
+
+
+# -- ideal-lattice engine -----------------------------------------------------------
+#
+# A subcode D lies in C ∩ F^I for the ideal I = <supp D>, and C ∩ F^I is the
+# largest subcode supported in I, so with m(I) = dim(C ∩ F^I)
+#     d_r = min{|I| : I an ideal, m(I) >= r}
+# (the poset form of Forney's dimension/length profile).  Every ideal of the
+# level L_r = {I : |I| = d_r, m(I) >= r} has m(I) = r exactly: m(I) > r would
+# give d_{r+1} <= d_r, and the hierarchy is strictly increasing.  So C ∩ F^I
+# is the only r-dimensional achiever with closure I, and achievers nest
+# exactly when their closures do.  The maximal flags are therefore the ideal
+# chains I_1 ⊆ .. ⊆ I_k with I_r in L_r, one flag per chain (the general
+# factor [m(I_r) - r + 1]_q of the flag count is 1 on every level).
+
+
+def _ideals_within(p: Poset, top: int):
+    """Every ideal contained in the ideal ``top`` exactly once, depth first.
+
+    Yields (depth, ideal, removed element); a node's parent is the node last
+    yielded at depth - 1.  Starting from ``top``, maximal elements are
+    removed in decreasing order of a linear extension, so each ideal has one
+    removal sequence.
+    """
+    order = sorted(
+        (e for e in range(p.n) if (top >> e) & 1),
+        key=lambda e: (p.ideal_mask(1 << e).bit_count(), e),
+    )
+    bit = [1 << e for e in order]
+    down = [p.ideal_mask(b) for b in bit]
+    above = [
+        sum(bit[i] for i in range(j + 1, len(order)) if (down[i] >> order[j]) & 1)
+        for j in range(len(order))
+    ]
+    stack = [(0, top, len(order), -1)]
+    while stack:
+        depth, ideal, t, e = stack.pop()
+        yield depth, ideal, e
+        for j in range(t):
+            if not above[j] & ideal:
+                stack.append((depth + 1, ideal ^ bit[j], j, order[j]))
+
+
+def _insert(field: FiniteField, basis, v):
+    """Echelon basis ((pivot, row), ..) of F_q^k extended by the vector v."""
+    for p, row in basis:
+        a = v[p]
+        if a:
+            v = tuple(field.sub(x, field.mul(a, y)) for x, y in zip(v, row))
+    p = next((j for j, x in enumerate(v) if x), None)
+    if p is None:
+        return basis
+    inv = field.inv(v[p])
+    return basis + ((p, tuple(field.mul(inv, x) for x in v)),)
+
+
+def _ideal_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
+    """Levels L_1..L_k (ideals as bitmasks) from a walk over the ideals inside
+    the closure of the code support; m(I) = k - rank of the generator columns
+    outside I, with one column inserted per lattice edge."""
+    field, k = c.field, c.k
+    columns = [tuple(row[j] for row in c.subspace.basis) for j in range(c.n)]
+    top = c.poset.ideal_mask(_code_support_mask(c))
+    bases = [()] * (top.bit_count() + 1)
+    best = [None] * (k + 1)
+    levels = [[] for _ in range(k + 1)]
+    for depth, ideal, e in _ideals_within(c.poset, top):
+        if depth:
+            bases[depth] = _insert(field, bases[depth - 1], columns[e])
+        m = k - len(bases[depth])
+        size = ideal.bit_count()
+        # L_r is the set of least ideals with m(I) = r (see the note above)
+        if best[m] is None or size < best[m]:
+            best[m], levels[m] = size, [ideal]
+        elif size == best[m]:
+            levels[m].append(ideal)
+    return tuple(frozenset(level) for level in levels[1:])
+
+
+def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
+    """Levels L_1..L_k from one pass over the r-dimensional subcodes per r,
+    keeping the ideal closures of minimum size."""
+    field, k, p = c.field, c.k, c.poset
+    columns = {}
+    for j in range(c.n):
+        col = tuple(row[j] for row in c.subspace.basis)
+        if any(col):
+            columns[col] = columns.get(col, 0) | (1 << j)
+    closures = {}
+
+    def closure(coeff):
+        if coeff not in closures:
+            supp = 0
+            for col, mask in columns.items():
+                dot = 0
+                for a, b in zip(coeff, col):
+                    if a and b:
+                        dot = field.add(dot, field.mul(a, b))
+                if dot:
+                    supp |= mask
+            closures[coeff] = p.ideal_mask(supp)
+        return closures[coeff]
+
+    levels = []
+    for r in range(1, k + 1):
+        best, level = None, []
+        for form in _rref_canonical_forms(field, r, k):
+            ideal = 0
+            for row in form:
+                ideal |= closure(row)
+            size = ideal.bit_count()
+            if best is None or size < best:
+                best, level = size, [ideal]
+            elif size == best:
+                level.append(ideal)
+        levels.append(frozenset(level))
+    return tuple(levels)
+
+
+def _coefficients_within(c: LinearCode, ideal: int):
+    """Pivots and RREF rows of {x in F_q^k : x.G vanishes outside the ideal}:
+    the coefficients of C ∩ F^I in the basis of C."""
+    field, k = c.field, c.k
+    outside = [
+        tuple(row[j] for row in c.subspace.basis)
+        for j in range(c.n)
+        if not (ideal >> j) & 1
+    ]
+    rows, pivots = _rref_rows(field, outside, k)
+    kernel = []
+    for f in range(k):
+        if f in pivots:
+            continue
+        x = [0] * k
+        x[f] = 1
+        for row, p in zip(rows, pivots):
+            x[p] = field.neg(row[f])
+        kernel.append(x)
+    rows, pivots = _rref_rows(field, kernel, k)
+    return tuple(pivots), tuple(rows)
+
+
+class CodeAnalysis:
+    """Hierarchy, flag count and witness flag of one code, from its levels
+    L_1..L_k (empty for the zero code).
+
+    ``chain_counts[r - 1]`` maps each ideal of L_r that starts a chain
+    through L_r, .., L_k to the number of such chains.
+    """
+
+    __slots__ = ("code", "hierarchy", "chain_counts")
+
+    def __init__(self, c: LinearCode, levels):
+        self.code = c
+        self.hierarchy = tuple(next(iter(level)).bit_count() for level in levels)
+        counted = []
+        after = {-1: 1}  # the all-ones mask: every ideal of L_k ends one chain
+        for level in reversed(levels):
+            here = {
+                ideal: sum(n for upper, n in after.items() if not ideal & ~upper)
+                for ideal in level
+            }
+            after = {ideal: n for ideal, n in here.items() if n}
+            counted.append(after)
+        self.chain_counts = tuple(reversed(counted))
+
+    @property
+    def flag_count(self) -> int:
+        """Number of maximal flags achieving the hierarchy (1 for the zero code)."""
+        return sum(self.chain_counts[0].values()) if self.chain_counts else 1
+
+    def witness(self) -> Flag | None:
+        """The first maximal flag in the order of ``enumerate_maximal_flags``.
+
+        That search takes, level by level, the first achiever in subspace
+        enumeration order that contains the previous one and still extends
+        to a full flag; an achiever extends iff its closure starts a chain.
+        Enumeration order is the order of the coefficient RREF forms:
+        pivot columns first, then the entries row by row.
+        """
+        if not self.flag_count:
+            return None
+        c = self.code
+        subspaces = []
+        previous = 0
+        for level in self.chain_counts:
+            forms = (
+                (_coefficients_within(c, ideal), ideal)
+                for ideal in level
+                if not previous & ~ideal
+            )
+            (_, rows), previous = min(forms)
+            subspaces.append(
+                span(c.field, c.n, [_combine(c.field, row, c.subspace.basis, c.n) for row in rows])
+            )
+        return Flag(tuple(subspaces), self.hierarchy)
+
+
+def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnalysis:
+    """Weight hierarchy, flag count and witness flag from the ideal lattice.
+
+    The levels come from the ideals inside the closure S of the code support
+    when there are at most sum_r [k r]_q of them (counted before any rank
+    work), and otherwise from one pass over the subcodes per dimension.
+    ``budget`` caps the ideals or the subcodes of the path taken.
+    """
+    if c.k == 0:
+        return CodeAnalysis(c, ())
+    top = c.poset.ideal_mask(_code_support_mask(c))
+    subcodes = sum(gaussian_binomial(c.k, r, c.field.q) for r in range(1, c.k + 1))
+    limit = subcodes if budget is None else min(subcodes, budget)
+    ideals = sum(1 for _ in islice(_ideals_within(c.poset, top), limit + 1))
+    if ideals <= limit:
+        levels = _ideal_levels(c)
+    elif limit < subcodes:
+        raise BudgetExceeded(
+            f"more than {limit} ideals and {subcodes} subcodes exceed the budget {budget}",
+            count=subcodes,
+            budget=budget,
+        )
+    else:
+        levels = _subcode_levels(c)
+    return CodeAnalysis(c, levels)
 
 
 # -- matrix codes -----------------------------------------------------------------

@@ -10,15 +10,13 @@ both validates the bound and quantifies its slack.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
-from .codes import LinearCode, find_maximal_flag
+from .codes import LinearCode, analyze_code
 from .errors import BudgetExceeded, InputError, RangeError
-from .gf import GF
+from .gf import GF, _factor_prime_power
 from .linalg import DEFAULT_BUDGET, enumerate_subspaces, full_space, gaussian_binomial
-from .poset import ChainPartition, Poset
+from .poset import ChainPartition, Poset, _is_int, _read_json
 
 
 @dataclass(frozen=True)
@@ -33,9 +31,10 @@ class BoundReport:
 
 def chain_condition_lower_bound(partition: ChainPartition, q: int) -> BoundReport:
     """Sum over chains i and dimensions j of the number of j-dimensional
-    subspaces of a nu_i-dimensional space over GF(q)."""
+    subspaces of a nu_i-dimensional space over GF(q); q must be a prime power."""
     if q < 2:
         raise RangeError(f"q must be at least 2, got {q}")
+    _factor_prime_power(q)
     nu = partition.sizes
     addends = tuple(
         tuple(gaussian_binomial(s, j, q) for j in range(1, s + 1)) for s in nu
@@ -85,7 +84,7 @@ def census(
         satisfied = 0
         for d in enumerate_subspaces(ambient, r, budget):
             seen += 1
-            if find_maximal_flag(LinearCode(p, d), budget=budget) is not None:
+            if analyze_code(LinearCode(p, d), budget).flag_count:
                 satisfied += 1
         per_total.append(seen)
         per_chain.append(satisfied)
@@ -113,7 +112,7 @@ def partition_from_dict(obj, p: Poset) -> ChainPartition:
     seen = set()
     for c in chains:
         for e in c:
-            if not isinstance(e, int) or not 1 <= e <= p.n:
+            if not _is_int(e) or not 1 <= e <= p.n:
                 raise RangeError(f"partition element {e!r} outside 1..{p.n}")
             if e in seen:
                 raise InputError(f"partition element {e} repeated")
@@ -127,8 +126,4 @@ def partition_from_dict(obj, p: Poset) -> ChainPartition:
 
 
 def load_partition(path, p: Poset) -> ChainPartition:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON: {exc}") from None
-    return partition_from_dict(obj, p)
+    return partition_from_dict(_read_json(path), p)

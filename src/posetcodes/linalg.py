@@ -329,7 +329,10 @@ class GeneratorFile:
 
 
 def read_generator_file(path) -> GeneratorFile:
-    raw = Path(path).read_text()
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     body = []
     for lineno, line in enumerate(raw.splitlines(), 1):
         line = line.split("#", 1)[0].strip()

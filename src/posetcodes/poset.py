@@ -16,6 +16,11 @@ from pathlib import Path
 from .errors import CycleError, EmptyInputError, InputError, RangeError
 
 
+def _is_int(x) -> bool:
+    """True for integers; false for booleans, which Python counts as integers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _bits(mask: int):
     """Yield 0-based positions of set bits, ascending."""
     while mask:
@@ -179,7 +184,7 @@ def from_cover_relations(n: int, covers) -> Poset:
     down = [1 << i for i in range(n)]
     for pair in covers:
         a, b = pair
-        if not (isinstance(a, int) and isinstance(b, int)):
+        if not (_is_int(a) and _is_int(b)):
             raise InputError(f"cover pair {pair!r} is not a pair of integers")
         if not (1 <= a <= n and 1 <= b <= n):
             raise RangeError(f"cover pair {pair!r} outside 1..{n}")
@@ -269,7 +274,7 @@ def poset_from_dict(obj) -> Poset:
     if extra:
         raise InputError(f"unexpected keys in poset description: {sorted(extra)}")
     if key == "covers":
-        if "n" not in obj or not isinstance(obj["n"], int):
+        if "n" not in obj or not _is_int(obj["n"]):
             raise InputError('poset description with "covers" requires an integer "n"')
         covers = obj["covers"]
         if not isinstance(covers, list) or any(
@@ -278,31 +283,37 @@ def poset_from_dict(obj) -> Poset:
             raise InputError('"covers" must be a list of [a, b] pairs')
         return from_cover_relations(obj["n"], [tuple(c) for c in covers])
     if key == "weak_order":
-        if not isinstance(obj[key], list):
-            raise InputError('"weak_order" must be a list of block sizes')
+        if not isinstance(obj[key], list) or not all(map(_is_int, obj[key])):
+            raise InputError('"weak_order" must be a list of integer block sizes')
         return weak_order(obj[key])
     if key == "chain":
-        if not isinstance(obj[key], int):
+        if not _is_int(obj[key]):
             raise InputError('"chain" must be an integer')
         return chain(obj[key])
     if key == "antichain":
-        if not isinstance(obj[key], int):
+        if not _is_int(obj[key]):
             raise InputError('"antichain" must be an integer')
         return antichain(obj[key])
     params = obj["disjoint_chains"]
     if (
         not isinstance(params, dict)
         or set(params) != {"length", "count"}
-        or not all(isinstance(params[f], int) for f in ("length", "count"))
+        or not all(_is_int(params[f]) for f in ("length", "count"))
     ):
         raise InputError('"disjoint_chains" must be {"length": int, "count": int}')
     return disjoint_chains(params["length"], params["count"])
 
 
-def load_poset(path) -> Poset:
-    """Read a poset description file (JSON)."""
+def _read_json(path):
+    """Parse a UTF-8 JSON file; undecodable or malformed text is an InputError."""
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
-    return poset_from_dict(obj)
+
+
+def load_poset(path) -> Poset:
+    """Read a poset description file (JSON)."""
+    return poset_from_dict(_read_json(path))

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from posetcodes.cli import main
 from conftest import DEMO
 
@@ -141,6 +143,14 @@ class TestBoundAndCensus:
         assert report["chain_condition_total"] == "7"
         assert "bound" not in report
 
+    def test_bound_rejects_a_non_prime_power_like_census(self, capsys):
+        assert main(["census", "--poset", str(CHAIN3), "--q", "6"]) == 2
+        census_err = capsys.readouterr().err
+        assert main(["bound", "--poset", str(CHAIN3), "--q", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == census_err == "error: 6 is not a prime power\n"
+
     def test_invalid_partition_exits_2(self, capsys, tmp_path):
         part = tmp_path / "bad.json"
         part.write_text('{"chains": [[1, 2], [2, 3]]}')
@@ -194,6 +204,26 @@ class TestErrorPaths:
         poset.write_text('{"chain": 5}')
         assert main(["hierarchy", "--poset", str(poset), "--code", str(CODE27)]) == 2
 
+    @pytest.mark.parametrize("kind", ("poset", "code", "partition", "expect"))
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"chain": 3}\xff\n')
+        argv = {
+            "poset": ["hierarchy", "--poset", bad, "--code", CODE27],
+            "code": ["hierarchy", "--poset", WEAK, "--code", bad],
+            "partition": ["bound", "--poset", CHAIN3, "--partition", bad],
+            "expect": ["verify", "--poset", WEAK, "--code", CODE27, "--expect", bad],
+        }[kind]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_boolean_block_size_exits_2(self, tmp_path):
+        poset = tmp_path / "p.json"
+        poset.write_text('{"weak_order": [true, 2]}')
+        assert main(["bound", "--poset", str(poset)]) == 2
+
     def test_budget_exits_3(self):
         assert (
             main(
@@ -208,22 +238,6 @@ class TestErrorPaths:
                 ]
             )
             == 3
-        )
-
-    def test_bad_threads_exits_2(self):
-        assert (
-            main(
-                [
-                    "hierarchy",
-                    "--poset",
-                    str(WEAK),
-                    "--code",
-                    str(CODE27),
-                    "--threads",
-                    "0",
-                ]
-            )
-            == 2
         )
 
 

@@ -121,3 +121,7 @@ class TestPartitionFormat:
     def test_wrong_shape(self):
         with pytest.raises(InputError):
             partition_from_dict({"parts": [[1]]}, chain(1))
+
+    def test_boolean_element(self):
+        with pytest.raises(InputError):
+            partition_from_dict({"chains": [[True]]}, chain(1))

@@ -1,0 +1,98 @@
+"""The ideal-lattice engine against the exhaustive oracles.
+
+Both level builders run on every instance, so each path is checked whichever
+one ``analyze_code`` would pick for it.
+"""
+
+import random
+
+import pytest
+
+from posetcodes import (
+    GF,
+    Flag,
+    LinearCode,
+    chain,
+    antichain,
+    enumerate_maximal_flags,
+    find_maximal_flag,
+    span,
+    weight_hierarchy,
+    zero_subspace,
+)
+from posetcodes.cli import main
+from posetcodes.codes import CodeAnalysis, _ideal_levels, _subcode_levels, analyze_code
+from posetcodes.random_instances import POSET_FAMILIES, random_code, random_poset
+
+INSTANCES_PER_CASE = 20
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+@pytest.mark.parametrize("family", POSET_FAMILIES)
+def test_both_level_builders_match_the_oracles(family, q):
+    rng = random.Random(f"engine:{family}:{q}")
+    for _ in range(INSTANCES_PER_CASE):
+        n = rng.randint(1, 8)
+        code = random_code(rng, GF(q), random_poset(rng, family, n), rng.randint(0, min(4, n)))
+        hierarchy = weight_hierarchy(code)
+        flags = enumerate_maximal_flags(code)
+        verdict = find_maximal_flag(code) is not None
+        for build in (_ideal_levels, _subcode_levels):
+            analysis = CodeAnalysis(code, build(code))
+            where = f"{build.__name__} on {family} q={q} n={n} basis={code.subspace.basis}"
+            assert analysis.hierarchy == hierarchy, where
+            assert analysis.flag_count == len(flags), where
+            assert analysis.witness() == (flags[0] if flags else None), where
+            assert (analysis.flag_count > 0) == verdict, where
+
+
+def test_zero_code_has_one_empty_flag(f2):
+    code = LinearCode(chain(3), zero_subspace(f2, 3))
+    analysis = analyze_code(code)
+    assert analysis.hierarchy == ()
+    assert analysis.flag_count == 1
+    assert analysis.witness() == Flag((), ())
+
+
+def _write_instance(tmp_path, poset_json, q, rows):
+    poset = tmp_path / "poset.json"
+    poset.write_text(poset_json)
+    code = tmp_path / "code.txt"
+    lines = [f"{q} {len(rows[0])} {len(rows)}"] + [" ".join(map(str, r)) for r in rows]
+    code.write_text("\n".join(lines) + "\n")
+    return ["--poset", str(poset), "--code", str(code)]
+
+
+# A chain code of full support: 9 ideals, 15 + 35 + 15 + 1 = 66 subcodes.
+CHAIN_ROWS = (
+    (1, 0, 0, 0, 1, 1, 0, 1),
+    (0, 1, 0, 0, 1, 0, 1, 1),
+    (0, 0, 1, 0, 0, 1, 1, 1),
+    (0, 0, 0, 1, 1, 1, 1, 0),
+)
+# An antichain code supported on 5 points: 32 ideals, 3 + 1 = 4 subcodes.
+ANTICHAIN_ROWS = ((1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("command", ("hierarchy", "chain", "flag"))
+def test_budget_on_the_ideal_path_counts_ideals(tmp_path, capsys, command):
+    argv = _write_instance(tmp_path, '{"chain": 8}', 2, CHAIN_ROWS)
+    assert main([command, *argv, "--budget", "8"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    # fits although the 66 subcodes do not: the ideal lattice answers
+    assert main([command, *argv, "--budget", "9"]) == 0
+
+
+@pytest.mark.parametrize("command", ("hierarchy", "chain", "flag"))
+def test_budget_on_the_subcode_path_counts_subcodes(tmp_path, capsys, command):
+    argv = _write_instance(tmp_path, '{"antichain": 6}', 2, ANTICHAIN_ROWS)
+    assert main([command, *argv, "--budget", "3"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main([command, *argv, "--budget", "4"]) == 0
+
+
+def test_tight_budgets_still_give_the_oracle_hierarchy(f2):
+    walked = LinearCode(chain(8), span(f2, 8, CHAIN_ROWS))
+    assert analyze_code(walked, budget=9).hierarchy == weight_hierarchy(walked)
+    enumerated = LinearCode(antichain(6), span(f2, 6, ANTICHAIN_ROWS))
+    assert analyze_code(enumerated, budget=4).hierarchy == weight_hierarchy(enumerated)

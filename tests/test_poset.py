@@ -223,6 +223,23 @@ class TestDescriptionFormat:
         with pytest.raises(InputError):
             poset_from_dict({"covers": [[1, 2]]})
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"weak_order": [True, 2]},
+            {"weak_order": [2.0, 2]},
+            {"chain": True},
+            {"antichain": True},
+            {"n": True, "covers": []},
+            {"n": 2, "covers": [[True, 2]]},
+            {"disjoint_chains": {"length": 2, "count": True}},
+            {"disjoint_chains": {"length": True, "count": 2}},
+        ],
+    )
+    def test_integer_fields_reject_booleans_and_floats(self, obj):
+        with pytest.raises(InputError):
+            poset_from_dict(obj)
+
 
 def test_poset_validation_guards():
     with pytest.raises(InputError):
