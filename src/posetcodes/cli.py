@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .codes import analyze_code, load_code, support_of_code
@@ -263,9 +264,15 @@ def _cmd_verify(args):
     return EXIT_OK
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parse_args keeps no state
+    # between calls, so every later call reuses it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except BudgetExceeded as exc:

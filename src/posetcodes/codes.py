@@ -11,7 +11,7 @@ exercised against a full-enumeration oracle in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice, product
 
 from .errors import (
     BudgetExceeded,
@@ -27,8 +27,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _combine,
-    _rref_canonical_forms,
     _rref_rows,
+    _span,
     enumerate_subspaces,
     gaussian_binomial,
     is_subspace_of,
@@ -174,10 +174,11 @@ def _achiever_levels(c, hier, budget):
     return levels
 
 
-def _search_flags(c, budget, first_only):
+def _search_flags(c, budget, first_only, hierarchy=None):
     """Depth-first search over hierarchy achievers with nesting constraints,
-    in the deterministic subspace enumeration order."""
-    hier = weight_hierarchy(c, budget)
+    in the deterministic subspace enumeration order.  ``hierarchy``, when
+    given, must be ``weight_hierarchy(c)``; it saves computing it again."""
+    hier = weight_hierarchy(c, budget) if hierarchy is None else hierarchy
     if c.k == 0:
         return [Flag((), ())]
     levels = _achiever_levels(c, hier, budget)
@@ -223,7 +224,7 @@ def _greedy_flag(c):
     subspaces = []
     weights = []
     for j in range(1, c.k + 1):
-        subspaces.append(span(c.field, c.n, ascending[:j]))
+        subspaces.append(_span(c.field, c.n, ascending[:j]))
         weights.append(poset_weight(p, ascending[j - 1]))
     return Flag(tuple(subspaces), tuple(weights))
 
@@ -253,10 +254,13 @@ def find_maximal_flag(
     return flags[0] if flags else None
 
 
-def enumerate_maximal_flags(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
+def enumerate_maximal_flags(
+    c: LinearCode, budget: int | None = DEFAULT_BUDGET, *, _hierarchy=None
+) -> list[Flag]:
     """Every maximal flag achieving the hierarchy (empty when the chain
-    condition fails)."""
-    return _search_flags(c, budget, first_only=False)
+    condition fails).  ``_hierarchy`` passes on a hierarchy the caller has
+    already computed with ``weight_hierarchy``."""
+    return _search_flags(c, budget, first_only=False, hierarchy=_hierarchy)
 
 
 def is_flag_unique(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> bool:
@@ -339,15 +343,15 @@ def _ideals_within(p: Poset, top: int):
 
 def _insert(field: FiniteField, basis, v):
     """Echelon basis ((pivot, row), ..) of F_q^k extended by the vector v."""
-    for p, row in basis:
-        a = v[p]
-        if a:
-            v = tuple(field.sub(x, field.mul(a, y)) for x, y in zip(v, row))
-    p = next((j for j, x in enumerate(v) if x), None)
-    if p is None:
+    if len(basis) == len(v):  # the basis spans F_q^k already
         return basis
-    inv = field.inv(v[p])
-    return basis + ((p, tuple(field.mul(inv, x) for x in v)),)
+    for p, row in basis:
+        if v[p]:
+            v = field.axpy(v, v[p], row)
+    for p, x in enumerate(v):
+        if x:
+            return basis + ((p, field.scale(field.inv(x), v)),)
+    return basis
 
 
 def _ideal_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
@@ -374,41 +378,54 @@ def _ideal_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
 
 
 def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
-    """Levels L_1..L_k from one pass over the r-dimensional subcodes per r,
-    keeping the ideal closures of minimum size."""
+    """Levels L_1..L_k from the ideal closures of the r-dimensional subcodes,
+    keeping those of minimum size.
+
+    A subcode is the row space of an r-by-k coefficient RREF form, and its
+    closure is the union of the closures of the form's rows.  For a fixed
+    pivot set every row fills its free entries independently of the other
+    rows, so the closures of all forms with that pivot set are the unions of
+    one closure per row: a fold over the rows, with duplicates dropped.
+    """
     field, k, p = c.field, c.k, c.poset
-    columns = {}
-    for j in range(c.n):
-        col = tuple(row[j] for row in c.subspace.basis)
-        if any(col):
-            columns[col] = columns.get(col, 0) | (1 << j)
     closures = {}
+    row_closures = {}
 
     def closure(coeff):
         if coeff not in closures:
-            supp = 0
-            for col, mask in columns.items():
-                dot = 0
-                for a, b in zip(coeff, col):
-                    if a and b:
-                        dot = field.add(dot, field.mul(a, b))
-                if dot:
-                    supp |= mask
-            closures[coeff] = p.ideal_mask(supp)
+            word = _combine(field, coeff, c.subspace.basis, c.n)
+            closures[coeff] = p.ideal_mask(_support_mask(word))
         return closures[coeff]
+
+    def closures_of_rows(pivot, free):
+        """Closures of the rows with a 1 at ``pivot``, any entries at ``free``
+        and zeros elsewhere."""
+        key = (pivot, free)
+        if key not in row_closures:
+            row = [0] * k
+            row[pivot] = 1
+            found = set()
+            for values in product(field.elements(), repeat=len(free)):
+                for j, v in zip(free, values):
+                    row[j] = v
+                found.add(closure(tuple(row)))
+            row_closures[key] = found
+        return row_closures[key]
 
     levels = []
     for r in range(1, k + 1):
-        best, level = None, []
-        for form in _rref_canonical_forms(field, r, k):
-            ideal = 0
-            for row in form:
-                ideal |= closure(row)
-            size = ideal.bit_count()
-            if best is None or size < best:
-                best, level = size, [ideal]
-            elif size == best:
-                level.append(ideal)
+        best, level = None, set()
+        for pivots in combinations(range(k), r):
+            unions = {0}
+            for pivot in pivots:
+                free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
+                unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
+            for ideal in unions:
+                size = ideal.bit_count()
+                if best is None or size < best:
+                    best, level = size, {ideal}
+                elif size == best:
+                    level.add(ideal)
         levels.append(frozenset(level))
     return tuple(levels)
 
@@ -487,7 +504,7 @@ class CodeAnalysis:
             )
             (_, rows), previous = min(forms)
             subspaces.append(
-                span(c.field, c.n, [_combine(c.field, row, c.subspace.basis, c.n) for row in rows])
+                _span(c.field, c.n, [_combine(c.field, row, c.subspace.basis, c.n) for row in rows])
             )
         return Flag(tuple(subspaces), self.hierarchy)
 

@@ -10,6 +10,10 @@ reproducible across runs and machines.
 Prime fields use direct modular arithmetic.  Extension fields multiply
 through exp/log tables built once per field from the smallest generator of
 the multiplicative group.
+
+Besides the scalar operations, a field offers row operations (``scale``,
+``axpy``) that take whole vectors, so that elimination loops make one call
+per row instead of one per entry.
 """
 
 from __future__ import annotations
@@ -125,6 +129,17 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
+def _digitwise(a: int, b: int, p: int, sign: int) -> int:
+    """a + sign * b in GF(p^m) for odd p: base-p digits add without carries."""
+    out, shift = 0, 1
+    while a or b:
+        out += (a + sign * b) % p * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
+
+
 class FiniteField:
     """Arithmetic in GF(q) on the integer representatives ``0 .. q - 1``."""
 
@@ -199,32 +214,21 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out, shift = 0, 1
-        while a or b:
-            out += (a + b) % self.p * shift
-            a //= self.p
-            b //= self.p
-            shift *= self.p
-        return out
+        return _digitwise(a, b, self.p, 1)
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
         if self.p == 2:
             return a
-        out, shift = 0, 1
-        while a:
-            out += (-a) % self.p * shift
-            a //= self.p
-            shift *= self.p
-        return out
+        return _digitwise(0, a, self.p, -1)
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return _digitwise(a, b, self.p, -1)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -253,6 +257,39 @@ class FiniteField:
             a = self.mul(a, a)
             e >>= 1
         return out
+
+    # -- rows ------------------------------------------------------------
+    #
+    # One loop per field kind: prime fields reduce mod p, characteristic-2
+    # extensions add by XOR, odd extensions add digit by digit.  Extension
+    # products go through exp/log; with ``lo = log[a] - (q - 1)`` the index
+    # ``lo + log[v]`` lies in -(q - 1) .. q - 3, so Python's negative
+    # indexing into ``_exp`` does the reduction mod q - 1.
+
+    def scale(self, a: int, x) -> list[int]:
+        """The row a * x."""
+        if self.m == 1:
+            p = self.p
+            return [a * u % p for u in x]
+        if a == 0:
+            return [0] * len(x)
+        exp, log = self._exp, self._log
+        lo = log[a] - (self.q - 1)
+        return [exp[lo + log[u]] if u else 0 for u in x]
+
+    def axpy(self, x, a: int, y) -> list[int]:
+        """The row x - a * y."""
+        if self.m == 1:
+            p = self.p
+            return [(u - a * v) % p for u, v in zip(x, y)]
+        if a == 0:
+            return list(x)
+        exp, log = self._exp, self._log
+        lo = log[a] - (self.q - 1)
+        if self.p == 2:
+            return [u ^ exp[lo + log[v]] if v else u for u, v in zip(x, y)]
+        p = self.p
+        return [_digitwise(u, exp[lo + log[v]], p, -1) if v else u for u, v in zip(x, y)]
 
     def elements(self) -> range:
         """All q elements, zero first, ascending by representative."""

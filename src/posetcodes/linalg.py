@@ -92,7 +92,7 @@ def _rref_rows(field, rows, ncols, column_order=None):
     priority instead of left to right; rows come out sorted by the order
     in which their pivots were found.
     """
-    mat = [list(r) for r in rows]
+    mat = list(rows)
     order = range(ncols) if column_order is None else column_order
     pivots = []
     top = 0
@@ -107,13 +107,11 @@ def _rref_rows(field, rows, ncols, column_order=None):
         mat[top], mat[hit] = mat[hit], mat[top]
         lead = mat[top][c]
         if lead != 1:
-            inv = field.inv(lead)
-            mat[top] = [field.mul(inv, e) for e in mat[top]]
+            mat[top] = field.scale(field.inv(lead), mat[top])
         prow = mat[top]
         for i in range(len(mat)):
             if i != top and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [field.sub(e, field.mul(f, pe)) for e, pe in zip(mat[i], prow)]
+                mat[i] = field.axpy(mat[i], mat[i][c], prow)
         pivots.append(c)
         top += 1
         if top == len(mat):
@@ -134,11 +132,23 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Row space identified by its canonical reduced-row-echelon basis."""
+    """Row space identified by its canonical reduced-row-echelon basis.
+
+    Constructing one validates the basis; ``_trusted`` skips that for bases
+    the package itself computed in RREF.
+    """
 
     field: FiniteField
     n: int
     basis: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def _trusted(cls, field: FiniteField, n: int, basis) -> Subspace:
+        s = object.__new__(cls)
+        object.__setattr__(s, "field", field)
+        object.__setattr__(s, "n", n)
+        object.__setattr__(s, "basis", basis)
+        return s
 
     def __post_init__(self):
         last_pivot = -1
@@ -180,16 +190,21 @@ def span(field: FiniteField, n: int, vectors) -> Subspace:
         for e in v:
             field.validate(e)
         vecs.append(v)
-    rows, _ = _rref_rows(field, vecs, n)
-    return Subspace(field, n, tuple(rows))
+    return _span(field, n, vecs)
+
+
+def _span(field, n, vectors) -> Subspace:
+    """``span`` of valid length-n vectors the package computed itself."""
+    rows, _ = _rref_rows(field, vectors, n)
+    return Subspace._trusted(field, n, tuple(rows))
 
 
 def zero_subspace(field: FiniteField, n: int) -> Subspace:
-    return Subspace(field, n, ())
+    return Subspace._trusted(field, n, ())
 
 
 def full_space(field: FiniteField, n: int) -> Subspace:
-    return Subspace(field, n, _identity_rows(n))
+    return Subspace._trusted(field, n, _identity_rows(n))
 
 
 def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -201,13 +216,12 @@ def contains(s: Subspace, v) -> bool:
     v = tuple(int(e) for e in v)
     if len(v) != s.n:
         raise LengthMismatch(f"vector of length {len(v)}, ambient is {s.n}")
-    field = s.field
-    residual = list(v)
+    residual = v
     for row in s.basis:
         p = next(j for j, e in enumerate(row) if e)
         c = residual[p]
         if c:
-            residual = [field.sub(e, field.mul(c, re)) for e, re in zip(residual, row)]
+            residual = s.field.axpy(residual, c, row)
     return not any(residual)
 
 
@@ -225,12 +239,8 @@ def _combine(field, coeff, basis, n):
     """Linear combination sum_j coeff[j] * basis[j] as a length-n tuple."""
     out = [0] * n
     for c, brow in zip(coeff, basis):
-        if c == 0:
-            continue
-        if c == 1:
-            out = [field.add(o, e) for o, e in zip(out, brow)]
-        else:
-            out = [field.add(o, field.mul(c, e)) for o, e in zip(out, brow)]
+        if c:
+            out = field.axpy(out, field.neg(c), brow)
     return tuple(out)
 
 
@@ -281,16 +291,14 @@ def enumerate_subspaces(ambient: Subspace, r: int, budget: int | None = DEFAULT_
 def _iter_subspaces(ambient, r):
     field, n = ambient.field, ambient.n
     if r == 0:
-        yield Subspace(field, n, ())
+        yield Subspace._trusted(field, n, ())
         return
     is_identity = ambient.dim == n and ambient.basis == _identity_rows(n)
     for coeff in _rref_canonical_forms(field, r, ambient.dim):
         if is_identity:
-            yield Subspace(field, n, coeff)
+            yield Subspace._trusted(field, n, coeff)
         else:
-            rows = [_combine(field, c, ambient.basis, n) for c in coeff]
-            reduced, _ = _rref_rows(field, rows, n)
-            yield Subspace(field, n, tuple(reduced))
+            yield _span(field, n, [_combine(field, c, ambient.basis, n) for c in coeff])
 
 
 def enumerate_nonzero_codewords(s: Subspace, budget: int | None = DEFAULT_BUDGET):

@@ -67,7 +67,12 @@ def support_union_hierarchy(s: Subspace, budget: int | None = DEFAULT_BUDGET) ->
 
 
 def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expect=None):
-    """All applicable invariants for one instance."""
+    """All applicable invariants for one instance.
+
+    The exhaustive hierarchy is computed once and the exhaustive flag list at
+    most once; the DFS flag is the first flag of that list, as both come from
+    the same search.
+    """
     out = []
     hier = weight_hierarchy(code, budget)
     out.append(
@@ -90,10 +95,14 @@ def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expec
                 f"ideal-based {hier} vs support-union {wei}",
             )
         )
-    supp = support_of_code(code)
-    if code.poset.is_total_on(supp) and code.k > 0:
+    total = code.k > 0 and code.poset.is_total_on(support_of_code(code))
+    expects_flags = expect is not None and ("chain_condition" in expect or "unique" in expect)
+    flags = None
+    if total or expects_flags:
+        flags = enumerate_maximal_flags(code, budget, _hierarchy=hier)
+    if total:
         greedy = find_maximal_flag(code, method="greedy")
-        dfs = find_maximal_flag(code, method="dfs", budget=budget)
+        dfs = flags[0] if flags else None
         out.append(CheckResult("totally_ordered_flag_exists", dfs is not None))
         out.append(
             CheckResult(
@@ -102,14 +111,13 @@ def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expec
                 f"greedy weights {greedy.weights}, dfs {dfs.weights if dfs else None}",
             )
         )
-        flags = enumerate_maximal_flags(code, budget)
         out.append(CheckResult("flag_unique", len(flags) == 1, f"{len(flags)} flags"))
     if expect is not None:
-        out.extend(_expectation_checks(code, hier, budget, expect))
+        out.extend(_expectation_checks(code, hier, flags, expect))
     return out
 
 
-def _expectation_checks(code, hier, budget, expect):
+def _expectation_checks(code, hier, flags, expect):
     out = []
     if "hierarchy" in expect:
         out.append(
@@ -128,24 +136,22 @@ def _expectation_checks(code, hier, budget, expect):
                 f"computed {supp}, expected {expect['support']}",
             )
         )
-    if "chain_condition" in expect or "unique" in expect:
-        flags = enumerate_maximal_flags(code, budget)
-        if "chain_condition" in expect:
-            out.append(
-                CheckResult(
-                    "expected_chain_condition",
-                    bool(flags) == bool(expect["chain_condition"]),
-                    f"computed {bool(flags)}, expected {expect['chain_condition']}",
-                )
+    if "chain_condition" in expect:
+        out.append(
+            CheckResult(
+                "expected_chain_condition",
+                bool(flags) == bool(expect["chain_condition"]),
+                f"computed {bool(flags)}, expected {expect['chain_condition']}",
             )
-        if "unique" in expect:
-            out.append(
-                CheckResult(
-                    "expected_unique",
-                    (len(flags) == 1) == bool(expect["unique"]),
-                    f"computed {len(flags)} flags, expected unique={expect['unique']}",
-                )
+        )
+    if "unique" in expect:
+        out.append(
+            CheckResult(
+                "expected_unique",
+                (len(flags) == 1) == bool(expect["unique"]),
+                f"computed {len(flags)} flags, expected unique={expect['unique']}",
             )
+        )
     return out
 
 
@@ -162,73 +168,45 @@ def batch_checks(
     rng = random.Random(seed)
     results = []
 
-    failures = 0
-    for i in range(batch):
-        q = rng.choice(qs)
-        family = POSET_FAMILIES[i % len(POSET_FAMILIES)]
-        n = rng.randint(1, max_n)
-        p = random_poset(rng, family, n)
-        code = random_code(rng, GF(q), p, rng.randint(1, min(4, n)))
-        for res in instance_checks(code, budget):
-            if not res.ok:
-                failures += 1
-                results.append(
-                    CheckResult(
-                        f"batch[{i}].{res.name}",
-                        False,
-                        f"seed={seed} index={i}\n{describe_code(code)}\n{res.detail}",
-                    )
-                )
-    results.append(
-        CheckResult(
-            "randomized_code_invariants",
-            failures == 0,
-            f"{batch} random codes, q in {tuple(qs)}, n <= {max_n}",
-        )
-    )
+    def record(name, summary, failures):
+        """One result per failure (label, index, detail), then the summary."""
+        count = 0
+        for label, i, detail in failures:
+            count += 1
+            results.append(CheckResult(label, False, f"seed={seed} index={i}{detail}"))
+        results.append(CheckResult(name, count == 0, summary))
 
-    failures = 0
-    for i in range(batch):
-        q = rng.choice(qs)
-        family = POSET_FAMILIES[i % len(POSET_FAMILIES)]
-        n = rng.randint(1, max_n)
-        p = random_poset(rng, family, n)
-        code = random_chain_supported_code(rng, GF(q), p)
-        for res in instance_checks(code, budget):
-            if not res.ok:
-                failures += 1
-                results.append(
-                    CheckResult(
-                        f"totally_ordered[{i}].{res.name}",
-                        False,
-                        f"seed={seed} index={i}\n{describe_code(code)}\n{res.detail}",
-                    )
-                )
-    results.append(
-        CheckResult(
-            "totally_ordered_support_properties",
-            failures == 0,
-            f"{batch} chain-supported codes",
-        )
-    )
+    def code_failures(prefix, draw_code):
+        for i in range(batch):
+            q = rng.choice(qs)
+            family = POSET_FAMILIES[i % len(POSET_FAMILIES)]
+            p = random_poset(rng, family, rng.randint(1, max_n))
+            code = draw_code(GF(q), p)
+            for res in instance_checks(code, budget):
+                if not res.ok:
+                    yield f"{prefix}[{i}].{res.name}", i, f"\n{describe_code(code)}\n{res.detail}"
 
-    failures = 0
-    for i in range(batch):
-        q = rng.choice(qs)
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        m = random_matrix(rng, GF(q), nrows, ncols)
-        p = disjoint_chains(nrows, ncols)
-        if rt_weight(m) != poset_weight(p, flatten_matrix(m, "col")):
-            failures += 1
-            results.append(
-                CheckResult(
-                    f"rt_equivalence[{i}]",
-                    False,
-                    f"seed={seed} index={i} matrix rows {m.rows}",
-                )
-            )
-    results.append(
-        CheckResult("rt_weight_equivalence", failures == 0, f"{batch} random matrices")
+    def rt_failures():
+        for i in range(batch):
+            q = rng.choice(qs)
+            nrows = rng.randint(1, 4)
+            ncols = rng.randint(1, 4)
+            m = random_matrix(rng, GF(q), nrows, ncols)
+            p = disjoint_chains(nrows, ncols)
+            if rt_weight(m) != poset_weight(p, flatten_matrix(m, "col")):
+                yield f"rt_equivalence[{i}]", i, f" matrix rows {m.rows}"
+
+    record(
+        "randomized_code_invariants",
+        f"{batch} random codes, q in {tuple(qs)}, n <= {max_n}",
+        code_failures(
+            "batch", lambda field, p: random_code(rng, field, p, rng.randint(1, min(4, p.n)))
+        ),
     )
+    record(
+        "totally_ordered_support_properties",
+        f"{batch} chain-supported codes",
+        code_failures("totally_ordered", lambda field, p: random_chain_supported_code(rng, field, p)),
+    )
+    record("rt_weight_equivalence", f"{batch} random matrices", rt_failures())
     return results

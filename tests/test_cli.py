@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from posetcodes import cli
 from posetcodes.cli import main
+from posetcodes.linalg import DEFAULT_BUDGET
 from conftest import DEMO
 
 
@@ -258,3 +260,55 @@ def test_console_entry_point_via_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hierarchy"] == [7, 19, 25]
+
+
+class TestRepeatedCalls:
+    """One parser serves every ``main`` call of a process; no call may see
+    the options of an earlier one."""
+
+    ARGV = ["hierarchy", "--poset", str(WEAK), "--code", str(CODE27)]
+
+    def test_out_file_then_stdout(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        assert main(self.ARGV + ["--out", str(target)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out == target.read_text()
+
+    def test_budget_returns_to_its_default(self, capsys):
+        assert main(self.ARGV + ["--budget", "1"]) == 3
+        capsys.readouterr()
+        assert main(self.ARGV) == 0
+        assert cli._parser().parse_args(self.ARGV).budget == DEFAULT_BUDGET
+
+    def test_parse_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hierarchy", "--poset", str(WEAK)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, report = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert report["hierarchy"] == [7, 19, 25]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        for argv in (self.ARGV, ["bound", "--poset", str(CHAIN3)], self.ARGV):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
+    def test_parser_not_built_at_import(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import posetcodes.cli as cli; print(cli._parser.cache_info().currsize)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from posetcodes import GF, InputError, RangeError
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 EXHAUSTIVE_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+# prime, characteristic-2 extension and odd extension fields
+ROW_Q = [2, 3, 4, 5, 8, 9, 25]
 
 
 def test_gf2_addition():
@@ -101,3 +105,16 @@ def test_fields_are_cached_and_comparable():
     assert GF(4) is GF(4)
     assert GF(4) == GF(4)
     assert GF(4) != GF(5)
+
+
+@pytest.mark.parametrize("q", ROW_Q)
+def test_row_operations_match_their_elementwise_composition(q):
+    f = GF(q)
+    rng = random.Random(f"rows:{q}")
+    for a in f.elements():
+        for length in (0, 1, 5, 12):
+            x = [rng.randrange(q) for _ in range(length)]
+            y = [rng.randrange(q) for _ in range(length)]
+            assert f.scale(a, x) == [f.mul(a, u) for u in x]
+            assert f.axpy(x, a, y) == [f.sub(u, f.mul(a, v)) for u, v in zip(x, y)]
+            assert f.axpy(tuple(x), a, tuple(y)) == f.axpy(x, a, y)

@@ -234,3 +234,18 @@ def test_span_idempotent_random(seed):
     assert span(f, n, s.basis) == s
     for v in vecs:
         assert contains(s, v)
+
+
+@pytest.mark.parametrize("q", (2, 4, 9))
+def test_package_built_subspaces_pass_full_validation(q):
+    # span, the enumeration, zero_subspace and full_space skip re-validation
+    # of the bases they build; this is where those bases are checked.
+    f = GF(q)
+    rng = random.Random(f"built:{q}")
+    ambient = span(f, 5, [[rng.randrange(q) for _ in range(5)] for _ in range(3)])
+    built = [zero_subspace(f, 5), full_space(f, 5), ambient]
+    for r in range(ambient.dim + 1):
+        built += enumerate_subspaces(ambient, r)
+    for s in built:
+        checked = Subspace(f, s.n, s.basis)
+        assert s == checked and hash(s) == hash(checked)

@@ -1,6 +1,7 @@
 import random
 
-from posetcodes import GF, LinearCode, antichain, full_space, weight_hierarchy
+from posetcodes import GF, LinearCode, antichain, chain, full_space, span, weight_hierarchy
+from posetcodes import codes, verify
 from posetcodes.random_instances import random_code
 from posetcodes.verify import (
     batch_checks,
@@ -55,3 +56,23 @@ def test_describe_code_is_reproducible(f2):
     text = describe_code(code)
     assert "q=2 n=3 k=3" in text
     assert "1 0 0" in text
+
+
+def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
+    calls = []
+
+    def counted(c, budget=None):
+        calls.append(c)
+        return weight_hierarchy(c, budget)
+
+    # the name in each module that calls it: verify directly, codes for the flag search
+    monkeypatch.setattr(verify, "weight_hierarchy", counted)
+    monkeypatch.setattr(codes, "weight_hierarchy", counted)
+    expect = {"hierarchy": [7, 19, 25], "chain_condition": True, "unique": True}
+    chain_code = LinearCode(chain(4), span(f2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
+    for code, exp in ((code_weak, expect), (code_weak, None), (chain_code, {"unique": True})):
+        calls.clear()
+        results = instance_checks(code, expect=exp)
+        assert all(r.ok for r in results), results
+        assert "greedy_matches_dfs" in {r.name for r in results}
+        assert len(calls) == 1
