@@ -7,7 +7,6 @@ flag uniqueness, and evaluate the chain-partition counting bound.
 from .codes import (
     Flag,
     LinearCode,
-    enumerate_maximal_flags,
     find_maximal_flag,
     flatten_matrix,
     generalized_weight,
@@ -19,7 +18,6 @@ from .codes import (
     rt_weight,
     support_of_code,
     support_of_vector,
-    verify_achiever_nesting,
     weight_hierarchy,
 )
 from .counting import (

@@ -19,7 +19,7 @@ from .codes import analyze_code, load_code, support_of_code
 from .counting import census, chain_condition_lower_bound, load_partition
 from .errors import BudgetExceeded, InputError
 from .linalg import DEFAULT_BUDGET
-from .poset import _read_json, load_poset, poset_from_dict
+from .poset import _is_int, _read_json, load_poset, poset_from_dict
 from .verify import batch_checks, instance_checks
 
 EXIT_OK = 0
@@ -113,6 +113,28 @@ def _load_instance(args):
         flatten = "row"
     code = load_code(args.code, poset, flatten=flatten, chain_shape=chain_shape)
     return code, pdict
+
+
+def _load_expect(path):
+    """Read a ``verify --expect`` file: an object with some of the keys
+    hierarchy and support (integer lists), chain_condition and unique
+    (booleans)."""
+    expect = _read_json(path)
+    lists, flags = ("hierarchy", "support"), ("chain_condition", "unique")
+    if not isinstance(expect, dict) or not set(expect) <= {*lists, *flags}:
+        raise InputError(
+            f"{path}: expected results must be an object with keys among "
+            "hierarchy, support, chain_condition, unique"
+        )
+    for key in lists:
+        if key in expect and not (
+            isinstance(expect[key], list) and all(map(_is_int, expect[key]))
+        ):
+            raise InputError(f'{path}: "{key}" must be a list of integers')
+    for key in flags:
+        if key in expect and not isinstance(expect[key], bool):
+            raise InputError(f'{path}: "{key}" must be true or false')
+    return expect
 
 
 def _emit(report, args):
@@ -235,13 +257,17 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args):
+    if args.batch is not None and args.batch < 1:
+        raise InputError(f"--batch must be at least 1, got {args.batch}")
+    if args.max_n < 1:
+        raise InputError(f"--max-n must be at least 1, got {args.max_n}")
     if args.expect and not args.code:
         raise InputError("--expect requires --code")
     if args.code:
         if not args.poset:
             raise InputError("instance mode requires both --poset and --code")
         code, _ = _load_instance(args)
-        expect = _read_json(args.expect) if args.expect else None
+        expect = _load_expect(args.expect) if args.expect else None
         results = instance_checks(code, args.budget, expect)
         report = {"mode": "instance"}
     else:
@@ -274,6 +300,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.budget < 0:
+            raise InputError(f"--budget must be non-negative, got {args.budget}")
         return args.handler(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice, product
 
-from .errors import (
-    BudgetExceeded,
-    ChainConditionUnsatisfied,
-    InputError,
-    LengthMismatch,
-    PreconditionViolated,
-)
+from .errors import BudgetExceeded, ChainConditionUnsatisfied, InputError, LengthMismatch
 from .gf import GF, FiniteField
 from .linalg import (
     DEFAULT_BUDGET,
@@ -29,9 +23,7 @@ from .linalg import (
     _combine,
     _rref_rows,
     _span,
-    enumerate_subspaces,
     gaussian_binomial,
-    is_subspace_of,
     read_generator_file,
     span,
 )
@@ -118,7 +110,10 @@ def generalized_weight(p: Poset, d: Subspace) -> int:
     return p.ideal_mask(mask).bit_count()
 
 
-# -- weight hierarchy ------------------------------------------------------------
+# -- weight hierarchy, maximal flags and the chain condition ------------------------
+#
+# The public answers come from ``analyze_code`` below, so ``budget`` caps the
+# ideals walked or the subcodes enumerated, whichever path the analysis takes.
 
 
 def hierarchy_within_bounds(n: int, k: int, values) -> bool:
@@ -132,27 +127,6 @@ def hierarchy_within_bounds(n: int, k: int, values) -> bool:
     return all(r <= d <= n - k + r for r, d in enumerate(values, 1))
 
 
-def weight_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Exact minimum subspace weight for every dimension 1..k, by exhaustive
-    enumeration of the r-dimensional subcodes."""
-    values = []
-    for r in range(1, c.k + 1):
-        try:
-            subs = enumerate_subspaces(c.subspace, r, budget)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(
-                f"hierarchy dimension {r}: {exc}", count=exc.count, budget=exc.budget, r=r
-            ) from None
-        values.append(min(generalized_weight(c.poset, d) for d in subs))
-    hier = tuple(values)
-    if not hierarchy_within_bounds(c.n, c.k, hier):
-        raise AssertionError(f"computed hierarchy {hier} violates its invariants")
-    return hier
-
-
-# -- maximal flags and the chain condition ------------------------------------------
-
-
 @dataclass(frozen=True)
 class Flag:
     """Nested subspaces D_1 < .. < D_k achieving the weight hierarchy."""
@@ -161,143 +135,27 @@ class Flag:
     weights: tuple[int, ...]
 
 
-def _achiever_levels(c, hier, budget):
-    levels = []
-    for r in range(1, c.k + 1):
-        levels.append(
-            tuple(
-                d
-                for d in enumerate_subspaces(c.subspace, r, budget)
-                if generalized_weight(c.poset, d) == hier[r - 1]
-            )
-        )
-    return levels
+def weight_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Generalized weights (d_1, .., d_k): d_r is the least weight of an
+    r-dimensional subcode."""
+    return analyze_code(c, budget).hierarchy
 
 
-def _search_flags(c, budget, first_only, hierarchy=None):
-    """Depth-first search over hierarchy achievers with nesting constraints,
-    in the deterministic subspace enumeration order.  ``hierarchy``, when
-    given, must be ``weight_hierarchy(c)``; it saves computing it again."""
-    hier = weight_hierarchy(c, budget) if hierarchy is None else hierarchy
-    if c.k == 0:
-        return [Flag((), ())]
-    levels = _achiever_levels(c, hier, budget)
-    found = []
-    stack = []
-
-    def walk(level):
-        for d in levels[level]:
-            if stack and not is_subspace_of(stack[-1], d):
-                continue
-            stack.append(d)
-            if level == c.k - 1:
-                found.append(Flag(tuple(stack), hier))
-                if first_only:
-                    stack.pop()
-                    return True
-            elif walk(level + 1):
-                stack.pop()
-                return True
-            stack.pop()
-        return False
-
-    walk(0)
-    return found
-
-
-def _greedy_flag(c):
-    """Flag construction for codes whose support is totally ordered.
-
-    Re-reduce the basis with columns prioritized by descending poset order
-    of the support: each resulting row has a distinct top element, the row
-    with the j-th smallest top achieves the j-th minimum weight, and the
-    spans of the j smallest-top rows are automatically nested.
-    """
-    p = c.poset
-    supp = sorted(
-        support_of_code(c), key=lambda e: p.ideal_mask(1 << (e - 1)).bit_count()
-    )
-    order = [e - 1 for e in reversed(supp)]
-    order += [j for j in range(c.n) if j + 1 not in set(supp)]
-    rows, _ = _rref_rows(c.field, c.subspace.basis, c.n, column_order=order)
-    ascending = rows[::-1]
-    subspaces = []
-    weights = []
-    for j in range(1, c.k + 1):
-        subspaces.append(_span(c.field, c.n, ascending[:j]))
-        weights.append(poset_weight(p, ascending[j - 1]))
-    return Flag(tuple(subspaces), tuple(weights))
-
-
-def find_maximal_flag(
-    c: LinearCode, method: str = "auto", budget: int | None = DEFAULT_BUDGET
-) -> Flag | None:
-    """A maximal flag achieving the hierarchy, or None when none exists.
-
-    ``method``: "dfs" searches achievers exhaustively; "greedy" uses the
-    direct construction available when the code support is totally ordered;
-    "auto" picks greedy when it applies.  Both paths return the same flag
-    whenever greedy applies (the flag is then unique).
-    """
-    if method not in ("auto", "greedy", "dfs"):
-        raise InputError(f"unknown method {method!r}")
-    if c.k == 0:
-        return Flag((), ())
-    total = c.poset.is_total_on(support_of_code(c))
-    if method == "greedy" and not total:
-        raise PreconditionViolated("greedy construction requires a totally ordered support")
-    if method == "auto":
-        method = "greedy" if total else "dfs"
-    if method == "greedy":
-        return _greedy_flag(c)
-    flags = _search_flags(c, budget, first_only=True)
-    return flags[0] if flags else None
-
-
-def enumerate_maximal_flags(
-    c: LinearCode, budget: int | None = DEFAULT_BUDGET, *, _hierarchy=None
-) -> list[Flag]:
-    """Every maximal flag achieving the hierarchy (empty when the chain
-    condition fails).  ``_hierarchy`` passes on a hierarchy the caller has
-    already computed with ``weight_hierarchy``."""
-    return _search_flags(c, budget, first_only=False, hierarchy=_hierarchy)
+def find_maximal_flag(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> Flag | None:
+    """A maximal flag achieving the hierarchy (the first in subspace
+    enumeration order), or None when the chain condition fails."""
+    return analyze_code(c, budget).witness()
 
 
 def is_flag_unique(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> bool:
     """True iff exactly one maximal flag achieves the hierarchy.
 
-    Witnesses are available from ``enumerate_maximal_flags``.  Raises
-    ``ChainConditionUnsatisfied`` when no flag exists at all.
+    Raises ``ChainConditionUnsatisfied`` when no flag exists at all.
     """
-    flags = enumerate_maximal_flags(c, budget)
-    if not flags:
+    count = analyze_code(c, budget).flag_count
+    if not count:
         raise ChainConditionUnsatisfied("no maximal flag achieves the hierarchy")
-    return len(flags) == 1
-
-
-def verify_achiever_nesting(
-    c: LinearCode, candidates, budget: int | None = DEFAULT_BUDGET
-) -> bool:
-    """For a totally ordered support, any family of hierarchy-achieving
-    subspaces of dimensions 1..k must be nested; this checks that claim
-    instead of assuming it."""
-    if not c.poset.is_total_on(support_of_code(c)):
-        raise PreconditionViolated("code support must be totally ordered")
-    cands = tuple(candidates)
-    if len(cands) != c.k:
-        raise PreconditionViolated(f"expected {c.k} candidates, got {len(cands)}")
-    hier = weight_hierarchy(c, budget)
-    for r, d in enumerate(cands, 1):
-        if d.dim != r:
-            raise PreconditionViolated(f"candidate {r} has dimension {d.dim}")
-        if not is_subspace_of(d, c.subspace):
-            raise PreconditionViolated(f"candidate {r} is not a subcode")
-        if generalized_weight(c.poset, d) != hier[r - 1]:
-            raise PreconditionViolated(
-                f"candidate {r} has weight {generalized_weight(c.poset, d)}, "
-                f"hierarchy says {hier[r - 1]}"
-            )
-    return all(is_subspace_of(cands[i], cands[i + 1]) for i in range(c.k - 1))
+    return count == 1
 
 
 # -- ideal-lattice engine -----------------------------------------------------------
@@ -483,7 +341,8 @@ class CodeAnalysis:
         return sum(self.chain_counts[0].values()) if self.chain_counts else 1
 
     def witness(self) -> Flag | None:
-        """The first maximal flag in the order of ``enumerate_maximal_flags``.
+        """The first maximal flag found by the exhaustive depth-first search
+        (``verify.exhaustive_flags``).
 
         That search takes, level by level, the first achiever in subspace
         enumeration order that contains the previous one and still extends

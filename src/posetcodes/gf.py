@@ -244,9 +244,6 @@ class FiniteField:
             return pow(a, self.p - 2, self.p)
         return self._exp[-self._log[a] % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e

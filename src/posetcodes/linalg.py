@@ -71,9 +71,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
 
 def matrix(field: FiniteField, rows, ncols: int | None = None) -> Matrix:
     rows = tuple(tuple(int(e) for e in row) for row in rows)
@@ -175,9 +172,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(next(j for j, e in enumerate(row) if e) for row in self.basis)
 
 
 def span(field: FiniteField, n: int, vectors) -> Subspace:

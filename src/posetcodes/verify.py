@@ -11,19 +11,26 @@ import random
 from dataclasses import dataclass
 
 from .codes import (
+    Flag,
     LinearCode,
-    enumerate_maximal_flags,
-    find_maximal_flag,
     flatten_matrix,
+    generalized_weight,
     hierarchy_within_bounds,
     poset_weight,
     rt_weight,
     support_of_code,
     support_of_vector,
-    weight_hierarchy,
 )
+from .errors import BudgetExceeded, PreconditionViolated
 from .gf import GF
-from .linalg import DEFAULT_BUDGET, Subspace, enumerate_subspaces
+from .linalg import (
+    DEFAULT_BUDGET,
+    Subspace,
+    _rref_rows,
+    _span,
+    enumerate_subspaces,
+    is_subspace_of,
+)
 from .poset import disjoint_chains
 from .random_instances import (
     POSET_FAMILIES,
@@ -66,15 +73,90 @@ def support_union_hierarchy(s: Subspace, budget: int | None = DEFAULT_BUDGET) ->
     return tuple(out)
 
 
-def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expect=None):
-    """All applicable invariants for one instance.
+def exhaustive_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Weight hierarchy by enumerating the r-dimensional subcodes for every
+    r; ``budget`` caps each r separately."""
+    values = []
+    for r in range(1, c.k + 1):
+        try:
+            subs = enumerate_subspaces(c.subspace, r, budget)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(
+                f"hierarchy dimension {r}: {exc}", count=exc.count, budget=exc.budget, r=r
+            ) from None
+        values.append(min(generalized_weight(c.poset, d) for d in subs))
+    hier = tuple(values)
+    if not hierarchy_within_bounds(c.n, c.k, hier):
+        raise AssertionError(f"computed hierarchy {hier} violates its invariants")
+    return hier
 
-    The exhaustive hierarchy is computed once and the exhaustive flag list at
-    most once; the DFS flag is the first flag of that list, as both come from
-    the same search.
+
+def exhaustive_flags(
+    c: LinearCode, hierarchy, budget: int | None = DEFAULT_BUDGET
+) -> list[Flag]:
+    """Every maximal flag achieving ``hierarchy`` (the code's weight
+    hierarchy), by depth-first search over the achievers of each dimension
+    with nesting constraints, in subspace enumeration order.  Empty when the
+    chain condition fails."""
+    if c.k == 0:
+        return [Flag((), ())]
+    levels = [
+        [
+            d
+            for d in enumerate_subspaces(c.subspace, r, budget)
+            if generalized_weight(c.poset, d) == hierarchy[r - 1]
+        ]
+        for r in range(1, c.k + 1)
+    ]
+    weights = tuple(hierarchy)
+    found = []
+    stack = []
+
+    def walk(level):
+        for d in levels[level]:
+            if stack and not is_subspace_of(stack[-1], d):
+                continue
+            stack.append(d)
+            if level == c.k - 1:
+                found.append(Flag(tuple(stack), weights))
+            else:
+                walk(level + 1)
+            stack.pop()
+
+    walk(0)
+    return found
+
+
+def greedy_flag(c: LinearCode) -> Flag:
+    """Flag construction for codes whose support is totally ordered.
+
+    Re-reduce the basis with columns prioritized by descending poset order
+    of the support: each resulting row has a distinct top element, the row
+    with the j-th smallest top achieves the j-th minimum weight, and the
+    spans of the j smallest-top rows are automatically nested.
+    """
+    p = c.poset
+    supp = support_of_code(c)
+    if not p.is_total_on(supp):
+        raise PreconditionViolated("greedy construction requires a totally ordered support")
+    ascending = sorted(supp, key=lambda e: p.ideal_mask(1 << (e - 1)).bit_count())
+    order = [e - 1 for e in reversed(ascending)]
+    order += [j for j in range(c.n) if j + 1 not in supp]
+    rows, _ = _rref_rows(c.field, c.subspace.basis, c.n, column_order=order)
+    rows = rows[::-1]
+    subspaces = tuple(_span(c.field, c.n, rows[:j]) for j in range(1, c.k + 1))
+    return Flag(subspaces, tuple(poset_weight(p, row) for row in rows))
+
+
+def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expect=None):
+    """All applicable invariants for one instance, from the exhaustive
+    oracles alone.
+
+    The hierarchy is computed once and the flag list at most once; the DFS
+    flag is the first flag of that list.
     """
     out = []
-    hier = weight_hierarchy(code, budget)
+    hier = exhaustive_hierarchy(code, budget)
     out.append(
         CheckResult(
             "monotonicity_and_singleton",
@@ -99,9 +181,9 @@ def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expec
     expects_flags = expect is not None and ("chain_condition" in expect or "unique" in expect)
     flags = None
     if total or expects_flags:
-        flags = enumerate_maximal_flags(code, budget, _hierarchy=hier)
+        flags = exhaustive_flags(code, hier, budget)
     if total:
-        greedy = find_maximal_flag(code, method="greedy")
+        greedy = greedy_flag(code)
         dfs = flags[0] if flags else None
         out.append(CheckResult("totally_ordered_flag_exists", dfs is not None))
         out.append(

@@ -191,6 +191,45 @@ class TestVerify:
     def test_requires_code_or_batch(self, capsys):
         assert main(["verify"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["verify", "--batch", "-2"],
+            ["verify", "--batch", "3", "--max-n", "0"],
+            ["verify", "--batch", "3", "--budget", "-1"],
+            ["hierarchy", "--poset", WEAK, "--code", CODE27, "--budget", "-1"],
+        ),
+        ids=("batch", "max-n", "budget", "budget-hierarchy"),
+    )
+    def test_out_of_range_count_exits_2(self, capsys, argv):
+        assert main([str(a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            '{"hierarchy": 5}',
+            '{"support": 3}',
+            '{"hierarchy": [7, true, 25]}',
+            '{"support": [1.5]}',
+            '{"chain_condition": 1}',
+            '{"unique": "yes"}',
+            '{"colour": 1}',
+            "[1, 2]",
+            '"x"',
+        ),
+    )
+    def test_malformed_expectation_exits_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "expect.json"
+        bad.write_text(text)
+        argv = ["verify", "--poset", WEAK, "--code", CODE27, "--expect", bad]
+        assert main([str(a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
 
 class TestErrorPaths:
     def test_missing_file_exits_2(self):

@@ -17,7 +17,6 @@ from posetcodes import (
     chain,
     disjoint_chains,
     from_cover_relations,
-    enumerate_maximal_flags,
     enumerate_nonzero_codewords,
     enumerate_subspaces,
     find_maximal_flag,
@@ -25,6 +24,7 @@ from posetcodes import (
     full_space,
     generalized_weight,
     is_flag_unique,
+    is_subspace_of,
     matrix,
     poset_distance,
     poset_weight,
@@ -32,10 +32,10 @@ from posetcodes import (
     span,
     support_of_code,
     support_of_vector,
-    verify_achiever_nesting,
     weight_hierarchy,
 )
 from posetcodes.random_instances import random_code, random_poset
+from posetcodes.verify import exhaustive_flags, exhaustive_hierarchy, greedy_flag
 from conftest import (
     EXPECTED_SUPPORT,
     G1,
@@ -181,8 +181,10 @@ class TestWeightHierarchy:
         assert weight_hierarchy(code) == ()
 
     def test_budget_carries_offending_dimension(self, code_weak):
-        with pytest.raises(BudgetExceeded) as exc:
+        with pytest.raises(BudgetExceeded):
             weight_hierarchy(code_weak, budget=2)
+        with pytest.raises(BudgetExceeded) as exc:
+            exhaustive_hierarchy(code_weak, budget=2)
         assert exc.value.r == 1
 
     @given(st.integers(0, 10_000))
@@ -211,13 +213,12 @@ class TestMaximalFlag:
         assert flag.subspaces[2] == code_weak.subspace
 
     def test_greedy_and_dfs_agree_on_demo(self, code_weak):
-        assert find_maximal_flag(code_weak, method="greedy") == find_maximal_flag(
-            code_weak, method="dfs"
-        )
+        dfs = exhaustive_flags(code_weak, HIERARCHY_WEAK)[0]
+        assert greedy_flag(code_weak) == dfs == find_maximal_flag(code_weak)
 
     def test_greedy_requires_total_order(self, code_hamming):
         with pytest.raises(PreconditionViolated):
-            find_maximal_flag(code_hamming, method="greedy")
+            greedy_flag(code_hamming)
 
     def test_one_dimensional_code(self, f2):
         code = LinearCode(antichain(3), span(f2, 3, [(1, 1, 0)]))
@@ -237,7 +238,7 @@ class TestFlagUniqueness:
     def test_f2_squared_antichain_not_unique(self, f2):
         code = LinearCode(antichain(2), full_space(f2, 2))
         assert not is_flag_unique(code)
-        flags = enumerate_maximal_flags(code)
+        flags = exhaustive_flags(code, exhaustive_hierarchy(code))
         # two 1-dim achievers of d_1 = 1 (the third line has weight 2)
         assert len(flags) == 2
 
@@ -251,24 +252,6 @@ class TestFlagUniqueness:
 
 
 class TestAchieverNesting:
-    def test_demo_candidates(self, f2, code_weak):
-        cands = [
-            span(f2, 27, [G1]),
-            span(f2, 27, [G1, G2]),
-            code_weak.subspace,
-        ]
-        assert verify_achiever_nesting(code_weak, cands)
-
-    def test_k1_instance(self, f2):
-        code = LinearCode(chain(3), span(f2, 3, [(0, 1, 0)]))
-        assert verify_achiever_nesting(code, [code.subspace])
-
-    def test_preconditions(self, f2, code_weak, code_hamming):
-        with pytest.raises(PreconditionViolated):
-            verify_achiever_nesting(code_hamming, [])
-        with pytest.raises(PreconditionViolated):
-            verify_achiever_nesting(code_weak, [code_weak.subspace])
-
     @pytest.mark.parametrize("seed", range(15))
     def test_random_totally_ordered_achievers_always_nested(self, seed):
         from posetcodes.random_instances import random_chain_supported_code
@@ -290,7 +273,7 @@ class TestAchieverNesting:
         # any selection of achievers, one per dimension, must come out nested
         for _ in range(5):
             picks = [lvl[rng.randrange(len(lvl))] for lvl in levels]
-            assert verify_achiever_nesting(code, picks)
+            assert all(is_subspace_of(a, b) for a, b in zip(picks, picks[1:]))
 
 
 class TestTotallyOrderedSupport:
@@ -304,10 +287,9 @@ class TestTotallyOrderedSupport:
         p = random_poset(rng, rng.choice(("chain", "antichain", "weak_order", "random_cover")), n)
         code = random_chain_supported_code(rng, GF(q), p)
         assert code.poset.is_total_on(support_of_code(code))
-        greedy = find_maximal_flag(code, method="greedy")
-        dfs = find_maximal_flag(code, method="dfs")
-        assert dfs is not None
-        assert greedy == dfs
+        flags = exhaustive_flags(code, exhaustive_hierarchy(code))
+        assert len(flags) == 1
+        assert greedy_flag(code) == flags[0] == find_maximal_flag(code)
         assert is_flag_unique(code)
 
     def test_exhaustive_over_all_posets_on_four_points(self, f2):
@@ -342,10 +324,9 @@ class TestTotallyOrderedSupport:
                     if not p.is_total_on(support_of_code(code)):
                         continue
                     checked += 1
-                    assert find_maximal_flag(code, method="greedy") == find_maximal_flag(
-                        code, method="dfs"
-                    )
-                    assert is_flag_unique(code)
+                    flags = exhaustive_flags(code, exhaustive_hierarchy(code))
+                    assert greedy_flag(code) == flags[0] == find_maximal_flag(code)
+                    assert len(flags) == 1 and is_flag_unique(code)
         assert len(seen) == 219  # labeled posets on 4 elements
         assert checked > 2000
 

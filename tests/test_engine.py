@@ -10,12 +10,13 @@ import pytest
 
 from posetcodes import (
     GF,
+    ChainConditionUnsatisfied,
     Flag,
     LinearCode,
     chain,
     antichain,
-    enumerate_maximal_flags,
     find_maximal_flag,
+    is_flag_unique,
     span,
     weight_hierarchy,
     zero_subspace,
@@ -23,10 +24,23 @@ from posetcodes import (
 from posetcodes.cli import main
 from posetcodes.codes import CodeAnalysis, _ideal_levels, _subcode_levels, analyze_code
 from posetcodes.random_instances import POSET_FAMILIES, random_code, random_poset
+from posetcodes.verify import exhaustive_flags, exhaustive_hierarchy
 
 # q -> (instances, largest k).  The larger fields get fewer and smaller codes:
 # the oracles enumerate all [k r]_q subcodes, which grows like q^(r(k - r)).
 CASES = {2: (20, 4), 3: (20, 4), 4: (20, 4), 5: (12, 3), 8: (12, 3), 9: (12, 3)}
+# Random codes this small nearly always have a maximal flag.  These two
+# antichain (Hamming-metric) codes have none, so the loop also meets flag
+# count 0; the antichain cases run them after their random draws.
+FLAGLESS = {
+    2: (
+        (1, 0, 0, 0, 0, 0, 1, 0),
+        (0, 1, 0, 0, 0, 1, 0, 1),
+        (0, 0, 1, 0, 1, 1, 0, 1),
+        (0, 0, 0, 1, 1, 0, 0, 1),
+    ),
+    3: ((1, 0, 0, 2, 0, 2), (0, 1, 0, 2, 0, 1), (0, 0, 1, 0, 1, 0)),
+}
 
 
 @pytest.mark.parametrize("q", CASES)
@@ -34,19 +48,34 @@ CASES = {2: (20, 4), 3: (20, 4), 4: (20, 4), 5: (12, 3), 8: (12, 3), 9: (12, 3)}
 def test_both_level_builders_match_the_oracles(family, q):
     rng = random.Random(f"engine:{family}:{q}")
     instances, max_k = CASES[q]
+    codes = []
     for _ in range(instances):
         n = rng.randint(1, 8)
-        code = random_code(rng, GF(q), random_poset(rng, family, n), rng.randint(0, min(max_k, n)))
-        hierarchy = weight_hierarchy(code)
-        flags = enumerate_maximal_flags(code)
-        verdict = find_maximal_flag(code) is not None
+        codes.append(
+            random_code(rng, GF(q), random_poset(rng, family, n), rng.randint(0, min(max_k, n)))
+        )
+    if family == "antichain" and q in FLAGLESS:
+        n = len(FLAGLESS[q][0])
+        codes.append(LinearCode(antichain(n), span(GF(q), n, FLAGLESS[q])))
+    for code in codes:
+        hierarchy = exhaustive_hierarchy(code)
+        flags = exhaustive_flags(code, hierarchy)
+        first = flags[0] if flags else None
         for build in (_ideal_levels, _subcode_levels):
             analysis = CodeAnalysis(code, build(code))
-            where = f"{build.__name__} on {family} q={q} n={n} basis={code.subspace.basis}"
+            where = f"{build.__name__} on {family} q={q} n={code.n} basis={code.subspace.basis}"
             assert analysis.hierarchy == hierarchy, where
             assert analysis.flag_count == len(flags), where
-            assert analysis.witness() == (flags[0] if flags else None), where
-            assert (analysis.flag_count > 0) == verdict, where
+            assert analysis.witness() == first, where
+        # the public functions, whichever path analyze_code picks
+        where = f"{family} q={q} n={code.n} basis={code.subspace.basis}"
+        assert weight_hierarchy(code) == hierarchy, where
+        assert find_maximal_flag(code) == first, where
+        if flags:
+            assert is_flag_unique(code) == (len(flags) == 1), where
+        else:
+            with pytest.raises(ChainConditionUnsatisfied):
+                is_flag_unique(code)
 
 
 def test_zero_code_has_one_empty_flag(f2):
@@ -96,6 +125,6 @@ def test_budget_on_the_subcode_path_counts_subcodes(tmp_path, capsys, command):
 
 def test_tight_budgets_still_give_the_oracle_hierarchy(f2):
     walked = LinearCode(chain(8), span(f2, 8, CHAIN_ROWS))
-    assert analyze_code(walked, budget=9).hierarchy == weight_hierarchy(walked)
+    assert analyze_code(walked, budget=9).hierarchy == exhaustive_hierarchy(walked)
     enumerated = LinearCode(antichain(6), span(f2, 6, ANTICHAIN_ROWS))
-    assert analyze_code(enumerated, budget=4).hierarchy == weight_hierarchy(enumerated)
+    assert analyze_code(enumerated, budget=4).hierarchy == exhaustive_hierarchy(enumerated)

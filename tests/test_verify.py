@@ -6,6 +6,7 @@ from posetcodes.random_instances import random_code
 from posetcodes.verify import (
     batch_checks,
     describe_code,
+    exhaustive_hierarchy,
     instance_checks,
     support_union_hierarchy,
 )
@@ -63,11 +64,9 @@ def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
 
     def counted(c, budget=None):
         calls.append(c)
-        return weight_hierarchy(c, budget)
+        return exhaustive_hierarchy(c, budget)
 
-    # the name in each module that calls it: verify directly, codes for the flag search
-    monkeypatch.setattr(verify, "weight_hierarchy", counted)
-    monkeypatch.setattr(codes, "weight_hierarchy", counted)
+    monkeypatch.setattr(verify, "exhaustive_hierarchy", counted)
     expect = {"hierarchy": [7, 19, 25], "chain_condition": True, "unique": True}
     chain_code = LinearCode(chain(4), span(f2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
     for code, exp in ((code_weak, expect), (code_weak, None), (chain_code, {"unique": True})):
@@ -76,3 +75,15 @@ def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
         assert all(r.ok for r in results), results
         assert "greedy_matches_dfs" in {r.name for r in results}
         assert len(calls) == 1
+
+
+def test_checks_never_ask_the_engine(monkeypatch, code_weak, code_hamming):
+    def engine(*args, **kwargs):
+        raise AssertionError("verify must not use the engine it checks")
+
+    monkeypatch.setattr(codes, "analyze_code", engine)
+    # and the name verify would hold if it imported the engine itself
+    monkeypatch.setattr(verify, "analyze_code", engine, raising=False)
+    assert all(r.ok for r in instance_checks(code_weak))
+    assert all(r.ok for r in instance_checks(code_hamming))
+    assert all(r.ok for r in batch_checks(seed=11, batch=20))
