@@ -51,6 +51,7 @@ from .linalg import (
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
+    gaussian_row,
     is_subspace_of,
     matrix,
     read_generator_file,

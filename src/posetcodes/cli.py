@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -142,7 +143,15 @@ def _emit(report, args):
     if args.out:
         args.out.write_text(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader left early (``| head -1``); the result stands, so
+            # the command keeps its exit code.  Later writes, including the
+            # flush at shutdown, go to devnull instead of raising again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     if sys.stderr.isatty():
         for line in _human_lines(report):
             print(line, file=sys.stderr)

@@ -23,7 +23,7 @@ from .linalg import (
     _combine,
     _rref_rows,
     _span,
-    gaussian_binomial,
+    gaussian_row,
     read_generator_file,
     span,
 )
@@ -379,7 +379,7 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
     if c.k == 0:
         return CodeAnalysis(c, ())
     top = c.poset.ideal_mask(_code_support_mask(c))
-    subcodes = sum(gaussian_binomial(c.k, r, c.field.q) for r in range(1, c.k + 1))
+    subcodes = sum(gaussian_row(c.k, c.field.q)[1:])
     limit = subcodes if budget is None else min(subcodes, budget)
     ideals = sum(1 for _ in islice(_ideals_within(c.poset, top), limit + 1))
     if ideals <= limit:

@@ -11,11 +11,12 @@ both validates the bound and quantifies its slack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .codes import LinearCode, analyze_code
 from .errors import BudgetExceeded, InputError, RangeError
 from .gf import GF, _factor_prime_power
-from .linalg import DEFAULT_BUDGET, enumerate_subspaces, full_space, gaussian_binomial
+from .linalg import DEFAULT_BUDGET, _gaussian_prefix, enumerate_subspaces, full_space, gaussian_row
 from .poset import ChainPartition, Poset, _is_int, _read_json
 
 
@@ -36,9 +37,8 @@ def chain_condition_lower_bound(partition: ChainPartition, q: int) -> BoundRepor
         raise RangeError(f"q must be at least 2, got {q}")
     _factor_prime_power(q)
     nu = partition.sizes
-    addends = tuple(
-        tuple(gaussian_binomial(s, j, q) for j in range(1, s + 1)) for s in nu
-    )
+    rows = {s: gaussian_row(s, q)[1:] for s in set(nu)}
+    addends = tuple(rows[s] for s in nu)
     bound = sum(sum(row) for row in addends)
     return BoundReport(nu=nu, q=q, bound=bound, addends=addends)
 
@@ -70,7 +70,7 @@ def census(
     if not 0 <= max_dim <= n:
         raise RangeError(f"max_dim {max_dim} outside 0..{n}")
     field = GF(q)
-    total = sum(gaussian_binomial(n, r, q) for r in range(1, max_dim + 1))
+    total = sum(islice(_gaussian_prefix(n, q), 1, max_dim + 1))
     if budget is not None and total > budget:
         raise BudgetExceeded(
             f"census over {total} subspaces exceeds the budget {budget}",

@@ -12,7 +12,7 @@ turns runaway searches into a clean ``BudgetExceeded`` instead of a hang.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from pathlib import Path
 
 from .errors import (
@@ -28,23 +28,52 @@ from .gf import FiniteField
 DEFAULT_BUDGET = 1 << 24
 
 
+def _check_q(q: int) -> None:
+    if q < 2:
+        raise RangeError(f"q must be at least 2, got {q}")
+
+
 def gaussian_binomial(n: int, r: int, q: int) -> int:
     """Number of r-dimensional subspaces of an n-dimensional space over GF(q).
 
-    Exact big-integer evaluation of the product formula; every partial
-    product is itself a Gaussian binomial, so each division is exact.
+    Exact big-integer evaluation of the product formula over min(r, n - r)
+    factors; every partial product is itself a Gaussian binomial, so each
+    division is exact.
     """
-    if q < 2:
-        raise RangeError(f"q must be at least 2, got {q}")
+    _check_q(q)
     if not 0 <= r <= n:
         raise RangeError(f"r={r} outside 0..{n}")
+    r = min(r, n - r)
     out = 1
     for i in range(1, r + 1):
-        step = out * (q ** (n - r + i) - 1)
-        den = q**i - 1
-        assert step % den == 0
-        out = step // den
+        out, rem = divmod(out * (q ** (n - r + i) - 1), q**i - 1)
+        assert not rem
     return out
+
+
+def _gaussian_prefix(n: int, q: int):
+    """Yield [n 0]_q, [n 1]_q, .., [n n]_q by the exact recurrence
+    [n j] = [n j-1] (q^(n-j+1) - 1) / (q^j - 1): one multiply and one
+    division per entry."""
+    g = 1
+    yield g
+    for j in range(1, n + 1):
+        g, rem = divmod(g * (q ** (n - j + 1) - 1), q**j - 1)
+        assert not rem
+        yield g
+
+
+def gaussian_row(n: int, q: int) -> tuple[int, ...]:
+    """([n 0]_q, .., [n n]_q): the subspace counts of every dimension.
+
+    The first half comes from the recurrence and the rest by the symmetry
+    [n j] = [n n-j].
+    """
+    _check_q(q)
+    if n < 0:
+        raise RangeError(f"n={n} is negative")
+    half = list(islice(_gaussian_prefix(n, q), n // 2 + 1))
+    return tuple(half + half[: n + 1 - len(half)][::-1])
 
 
 # -- matrices -----------------------------------------------------------------

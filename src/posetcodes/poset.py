@@ -41,9 +41,20 @@ class ChainPartition:
 
 
 class Poset:
-    """Immutable partial order on {1, .., n}."""
+    """Immutable partial order on {1, .., n}.
+
+    Constructing one validates the down-sets; ``_trusted`` skips that for
+    masks the package itself built as a partial order.
+    """
 
     __slots__ = ("n", "_down")
+
+    @classmethod
+    def _trusted(cls, n: int, down_masks) -> Poset:
+        p = object.__new__(cls)
+        p.n = n
+        p._down = tuple(down_masks)
+        return p
 
     def __init__(self, n: int, down_masks):
         if n < 1:
@@ -137,18 +148,32 @@ class Poset:
         match_l = [-1] * n
         match_r = [-1] * n
 
-        def augment(i: int, seen: set[int]) -> bool:
-            for j in succ[i]:
-                if j in seen:
+        def augment(root: int) -> bool:
+            # Depth-first search for an augmenting path from root, without
+            # recursion: path[d] is the successor that frame d is trying.
+            seen = set()
+            frames = [(root, iter(succ[root]))]
+            path = []
+            while frames:
+                for j in frames[-1][1]:
+                    if j not in seen:
+                        break
+                else:
+                    frames.pop()
+                    if path:
+                        path.pop()
                     continue
                 seen.add(j)
-                if match_r[j] == -1 or augment(match_r[j], seen):
-                    match_l[i] = j
-                    match_r[j] = i
+                path.append(j)
+                if match_r[j] == -1:
+                    for (i, _), j in zip(frames, path):
+                        match_l[i] = j
+                        match_r[j] = i
                     return True
+                frames.append((match_r[j], iter(succ[match_r[j]])))
             return False
 
-        matched = sum(augment(i, set()) for i in range(n))
+        matched = sum(augment(i) for i in range(n))
         width = n - matched
         chains = []
         for head in range(n):
@@ -200,7 +225,7 @@ def from_cover_relations(n: int, covers) -> Poset:
         for j in _bits(down[i]):
             if j != i and (down[j] >> i) & 1:
                 raise CycleError(f"covers close into a cycle through {j + 1} and {i + 1}")
-    return Poset(n, down)
+    return Poset._trusted(n, down)
 
 
 def weak_order(block_sizes) -> Poset:
@@ -223,7 +248,7 @@ def weak_order(block_sizes) -> Poset:
         for i in range(start, start + s):
             below |= 1 << i
         start += s
-    return Poset(sum(sizes), down)
+    return Poset._trusted(sum(sizes), down)
 
 
 def disjoint_chains(chain_length: int, num_chains: int) -> Poset:
@@ -239,7 +264,7 @@ def disjoint_chains(chain_length: int, num_chains: int) -> Poset:
         for i in range(chain_length):
             prefix |= 1 << (j * chain_length + i)
             down.append(prefix)
-    return Poset(chain_length * num_chains, down)
+    return Poset._trusted(chain_length * num_chains, down)
 
 
 def chain(n: int) -> Poset:
@@ -251,7 +276,7 @@ def antichain(n: int) -> Poset:
     """n pairwise-incomparable elements (recovers the Hamming metric)."""
     if n < 1:
         raise RangeError(f"ground set size must be positive, got {n}")
-    return Poset(n, [1 << i for i in range(n)])
+    return Poset._trusted(n, [1 << i for i in range(n)])
 
 
 # -- description files ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -153,6 +154,19 @@ class TestBoundAndCensus:
         assert captured.out == ""
         assert captured.err == census_err == "error: 6 is not a prime power\n"
 
+    def test_bound_on_a_zigzag_past_the_recursion_limit(self, capsys, tmp_path):
+        # a_i < b_i and a_i < b_(i-1): the matcher's augmenting paths grow to
+        # length m, beyond the default recursion limit of 1000
+        m = 1100
+        covers = [[i, m + i] for i in range(1, m + 1)] + [[i, m + i - 1] for i in range(2, m + 1)]
+        poset = tmp_path / "zigzag.json"
+        poset.write_text(json.dumps({"n": 2 * m, "covers": covers}))
+        code, report = run_cli(capsys, "bound", "--poset", poset, "--q", "3")
+        assert code == 0
+        assert len(report["chains"]) == m
+        assert report["nu"] == [2] * m
+        assert report["bound"] == str(m * (4 + 1))
+
     def test_invalid_partition_exits_2(self, capsys, tmp_path):
         part = tmp_path / "bad.json"
         part.write_text('{"chains": [[1, 2], [2, 3]]}')
@@ -299,6 +313,33 @@ def test_console_entry_point_via_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hierarchy"] == [7, 19, 25]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["chain", "--poset", HAMMING, "--code", CODE27], 1),
+        (["verify", "--seed", "7", "--batch", "200", "--q", "2", "--max-n", "8"], 0),
+    ],
+    ids=["chain", "verify-batch"],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, exit_code):
+    # As in `... | head -1` when head has already exited: every write to
+    # stdout fails with EPIPE.  The result stands, so the exit code is the
+    # command's own, and nothing is reported on stderr.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetcodes", *map(str, argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == exit_code
+    assert proc.stderr == ""
 
 
 class TestRepeatedCalls:

@@ -47,6 +47,19 @@ class TestLowerBound:
         for size, row in zip(rep.nu, rep.addends):
             assert row == tuple(gaussian_binomial(size, j, 3) for j in range(1, size + 1))
 
+    def test_repeated_chain_sizes(self):
+        # one q-binomial row per distinct size serves every chain of that size
+        sizes = (3, 5, 3, 1, 5, 3)
+        labels = iter(range(1, sum(sizes) + 1))
+        part = ChainPartition(tuple(tuple(next(labels) for _ in range(s)) for s in sizes))
+        for q in (2, 4, 9):
+            rep = chain_condition_lower_bound(part, q)
+            assert rep.nu == sizes
+            assert rep.addends == tuple(
+                tuple(gaussian_binomial(s, j, q) for j in range(1, s + 1)) for s in sizes
+            )
+            assert rep.bound == sum(map(sum, rep.addends))
+
     def test_q_validation(self):
         with pytest.raises(RangeError):
             chain_condition_lower_bound(ChainPartition(((1,),)), 1)

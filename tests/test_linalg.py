@@ -18,6 +18,7 @@ from posetcodes import (
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
+    gaussian_row,
     is_subspace_of,
     matrix,
     rref,
@@ -204,6 +205,11 @@ class TestGaussianBinomial:
         assume(r <= n)
         assert gaussian_binomial(n, r, q) == gaussian_binomial(n, n - r, q)
 
+    def test_large_n_near_the_top(self):
+        # [n n-1] = [n 1] = (q^n - 1)/(q - 1), in one step instead of n - 1
+        lines = (7**2000 - 1) // 6
+        assert gaussian_binomial(2000, 1999, 7) == gaussian_binomial(2000, 1, 7) == lines
+
     def test_range_errors(self):
         with pytest.raises(RangeError):
             gaussian_binomial(3, 4, 2)
@@ -211,6 +217,19 @@ class TestGaussianBinomial:
             gaussian_binomial(3, -1, 2)
         with pytest.raises(RangeError):
             gaussian_binomial(3, 1, 1)
+
+
+class TestGaussianRow:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_matches_entry_by_entry(self, q):
+        for n in range(41):
+            assert gaussian_row(n, q) == tuple(gaussian_binomial(n, j, q) for j in range(n + 1))
+
+    def test_range_errors(self):
+        with pytest.raises(RangeError):
+            gaussian_row(-1, 2)
+        with pytest.raises(RangeError):
+            gaussian_row(3, 1)
 
 
 def test_subspace_rejects_non_rref(f2):

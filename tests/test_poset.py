@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetcodes import (
+    ChainPartition,
     CycleError,
     EmptyInputError,
     InputError,
@@ -12,11 +14,13 @@ from posetcodes import (
     RangeError,
     antichain,
     chain,
+    chain_condition_lower_bound,
     disjoint_chains,
     from_cover_relations,
     poset_from_dict,
     weak_order,
 )
+from posetcodes.random_instances import POSET_FAMILIES, random_poset
 
 
 def brute_force_width(p):
@@ -33,6 +37,47 @@ def brute_force_width(p):
         if all((comp[i] & s) == 1 << i for i in range(p.n) if (s >> i) & 1):
             best = max(best, s.bit_count())
     return best
+
+
+def recursive_width_and_partition(p):
+    """The recursive augmenting-path matcher that the iterative one replaced
+    (oracle for its visiting order; recursion depth grows with the paths)."""
+    n = p.n
+    succ = [[j for j in range(n) if j != i and (p._down[j] >> i) & 1] for i in range(n)]
+    match_l = [-1] * n
+    match_r = [-1] * n
+
+    def augment(i, seen):
+        for j in succ[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if match_r[j] == -1 or augment(match_r[j], seen):
+                match_l[i] = j
+                match_r[j] = i
+                return True
+        return False
+
+    matched = sum(augment(i, set()) for i in range(n))
+    chains = []
+    for head in range(n):
+        if match_r[head] != -1:
+            continue
+        chain = [head]
+        while match_l[chain[-1]] != -1:
+            chain.append(match_l[chain[-1]])
+        chains.append(tuple(e + 1 for e in chain))
+    return n - matched, ChainPartition(tuple(chains))
+
+
+def zigzag(m, rng=None):
+    """Covers a_i < b_i and a_i < b_(i-1) on 2m elements, optionally relabelled.
+    Its width is m, and the matcher's augmenting paths grow to length m."""
+    label = list(range(1, 2 * m + 1))
+    if rng is not None:
+        rng.shuffle(label)
+    covers = [(i, m + i) for i in range(1, m + 1)] + [(i, m + i - 1) for i in range(2, m + 1)]
+    return from_cover_relations(2 * m, [(label[a - 1], label[b - 1]) for a, b in covers])
 
 
 def random_cover_poset(rng, n, density=0.35):
@@ -200,6 +245,36 @@ class TestWidthAndPartition:
             p.width_and_min_chain_partition() == p.width_and_min_chain_partition()
         )
 
+    @pytest.mark.parametrize("family", POSET_FAMILIES)
+    def test_same_partition_as_the_recursive_matcher(self, family):
+        rng = random.Random(f"matcher:{family}")
+        for _ in range(15):
+            p = random_poset(rng, family, rng.randint(1, 60))
+            assert p.width_and_min_chain_partition() == recursive_width_and_partition(p)
+
+    def test_same_partition_on_long_augmenting_paths(self):
+        rng = random.Random("matcher:sparse")
+        posets = [zigzag(m) for m in (1, 2, 7, 150)]
+        posets += [zigzag(rng.randint(2, 150), rng) for _ in range(4)]
+        posets += [random_cover_poset(rng, 60, density=0.04) for _ in range(4)]
+        for p in posets:
+            assert p.width_and_min_chain_partition() == recursive_width_and_partition(p)
+
+    def test_partition_and_bound_leave_no_cyclic_garbage(self):
+        # Garbage that only the cycle collector can free piles up between
+        # collections and raises the peak memory of a run.
+        p = random_cover_poset(random.Random("garbage"), 60, density=0.1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            _, part = p.width_and_min_chain_partition()
+            chain_condition_lower_bound(part, 4)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestDescriptionFormat:
     def test_each_constructor_key(self):
@@ -239,6 +314,25 @@ class TestDescriptionFormat:
     def test_integer_fields_reject_booleans_and_floats(self, obj):
         with pytest.raises(InputError):
             poset_from_dict(obj)
+
+
+def test_package_built_posets_pass_full_validation():
+    # the constructors skip re-validation of the masks they build; this is
+    # where those masks are checked
+    rng = random.Random("built posets")
+    built = [antichain(5), chain(7), disjoint_chains(3, 4), weak_order([2, 1, 3])]
+    built += [from_cover_relations(4, []), random_cover_poset(rng, 12), zigzag(5, rng)]
+    built += [random_poset(rng, f, rng.randint(1, 20)) for f in POSET_FAMILIES for _ in range(5)]
+    for p in built:
+        checked = Poset(p.n, p._down)
+        assert p == checked and hash(p) == hash(checked)
+
+
+def test_direct_construction_still_validates():
+    with pytest.raises(CycleError):
+        Poset(2, [0b11, 0b11])
+    with pytest.raises(InputError):
+        Poset(3, [0b001, 0b011, 0b110])  # 1 <= 2 <= 3 but not 1 <= 3
 
 
 def test_poset_validation_guards():
