@@ -28,33 +28,11 @@ from .gf import FiniteField
 DEFAULT_BUDGET = 1 << 24
 
 
-def _check_q(q: int) -> None:
-    if q < 2:
-        raise RangeError(f"q must be at least 2, got {q}")
-
-
-def gaussian_binomial(n: int, r: int, q: int) -> int:
-    """Number of r-dimensional subspaces of an n-dimensional space over GF(q).
-
-    Exact big-integer evaluation of the product formula over min(r, n - r)
-    factors; every partial product is itself a Gaussian binomial, so each
-    division is exact.
-    """
-    _check_q(q)
-    if not 0 <= r <= n:
-        raise RangeError(f"r={r} outside 0..{n}")
-    r = min(r, n - r)
-    out = 1
-    for i in range(1, r + 1):
-        out, rem = divmod(out * (q ** (n - r + i) - 1), q**i - 1)
-        assert not rem
-    return out
-
-
 def _gaussian_prefix(n: int, q: int):
     """Yield [n 0]_q, [n 1]_q, .., [n n]_q by the exact recurrence
     [n j] = [n j-1] (q^(n-j+1) - 1) / (q^j - 1): one multiply and one
-    division per entry."""
+    division per entry; every entry is an integer, so each division is
+    exact."""
     g = 1
     yield g
     for j in range(1, n + 1):
@@ -63,13 +41,27 @@ def _gaussian_prefix(n: int, q: int):
         yield g
 
 
+def gaussian_binomial(n: int, r: int, q: int) -> int:
+    """Number of r-dimensional subspaces of an n-dimensional space over GF(q).
+
+    Exact big-integer evaluation in min(r, n - r) steps of the row
+    recurrence, using the symmetry [n r] = [n n-r].
+    """
+    if q < 2:
+        raise RangeError(f"q must be at least 2, got {q}")
+    if not 0 <= r <= n:
+        raise RangeError(f"r={r} outside 0..{n}")
+    return next(islice(_gaussian_prefix(n, q), min(r, n - r), None))
+
+
 def gaussian_row(n: int, q: int) -> tuple[int, ...]:
     """([n 0]_q, .., [n n]_q): the subspace counts of every dimension.
 
     The first half comes from the recurrence and the rest by the symmetry
     [n j] = [n n-j].
     """
-    _check_q(q)
+    if q < 2:
+        raise RangeError(f"q must be at least 2, got {q}")
     if n < 0:
         raise RangeError(f"n={n} is negative")
     half = list(islice(_gaussian_prefix(n, q), n // 2 + 1))
