@@ -112,8 +112,7 @@ def _load_instance(args):
             flatten = "col"
     elif flatten == "auto":
         flatten = "row"
-    code = load_code(args.code, poset, flatten=flatten, chain_shape=chain_shape)
-    return code, pdict
+    return load_code(args.code, poset, flatten=flatten, chain_shape=chain_shape)
 
 
 def _load_expect(path):
@@ -175,7 +174,7 @@ def _render_flag(flag):
 
 
 def _cmd_hierarchy(args):
-    code, _ = _load_instance(args)
+    code = _load_instance(args)
     hier = analyze_code(code, args.budget).hierarchy
     supp = sorted(support_of_code(code))
     report = {
@@ -191,7 +190,7 @@ def _cmd_hierarchy(args):
 
 
 def _analyze_flags(args):
-    code, _ = _load_instance(args)
+    code = _load_instance(args)
     analysis = analyze_code(code, args.budget)
     return analysis.hierarchy, analysis.flag_count, analysis.witness()
 
@@ -275,7 +274,7 @@ def _cmd_verify(args):
     if args.code:
         if not args.poset:
             raise InputError("instance mode requires both --poset and --code")
-        code, _ = _load_instance(args)
+        code = _load_instance(args)
         expect = _load_expect(args.expect) if args.expect else None
         results = instance_checks(code, args.budget, expect)
         report = {"mode": "instance"}

@@ -10,8 +10,9 @@ exercised against a full-enumeration oracle in the test suite.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, product
 
 from .errors import BudgetExceeded, ChainConditionUnsatisfied, InputError, LengthMismatch
 from .gf import GF, FiniteField
@@ -25,7 +26,6 @@ from .linalg import (
     _span,
     gaussian_row,
     read_generator_file,
-    span,
 )
 from .poset import Poset
 
@@ -172,31 +172,36 @@ def is_flag_unique(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> bool:
 # factor [m(I_r) - r + 1]_q of the flag count is 1 on every level).
 
 
-def _ideals_within(p: Poset, top: int):
-    """Every ideal contained in the ideal ``top`` exactly once, depth first.
+def _ideal_walk(p: Poset, top: int, limit: int):
+    """Every ideal contained in the ideal ``top`` exactly once, depth first,
+    or None once more than ``limit`` of them exist.
 
-    Yields (depth, ideal, removed element); a node's parent is the node last
-    yielded at depth - 1.  Starting from ``top``, maximal elements are
-    removed in decreasing order of a linear extension, so each ideal has one
-    removal sequence.
+    Returns two arrays: each ideal's depth and the element removed from its
+    parent, the ideal last recorded at depth - 1.  Starting from ``top``,
+    maximal elements are removed in decreasing order of a linear extension,
+    so each ideal has one removal sequence.
     """
+    down = p._down
     order = sorted(
-        (e for e in range(p.n) if (top >> e) & 1),
-        key=lambda e: (p.ideal_mask(1 << e).bit_count(), e),
+        (e for e in range(p.n) if (top >> e) & 1), key=lambda e: (down[e].bit_count(), e)
     )
     bit = [1 << e for e in order]
-    down = [p.ideal_mask(b) for b in bit]
     above = [
-        sum(bit[i] for i in range(j + 1, len(order)) if (down[i] >> order[j]) & 1)
+        sum(bit[i] for i in range(j + 1, len(order)) if (down[order[i]] >> order[j]) & 1)
         for j in range(len(order))
     ]
-    stack = [(0, top, len(order), -1)]
+    depths, removed = array("I"), array("I")
+    stack = [(0, top, len(order), 0)]
     while stack:
+        if len(depths) == limit:
+            return None
         depth, ideal, t, e = stack.pop()
-        yield depth, ideal, e
+        depths.append(depth)
+        removed.append(e)
         for j in range(t):
             if not above[j] & ideal:
                 stack.append((depth + 1, ideal ^ bit[j], j, order[j]))
+    return depths, removed
 
 
 def _insert(field: FiniteField, basis, v):
@@ -212,19 +217,21 @@ def _insert(field: FiniteField, basis, v):
     return basis
 
 
-def _ideal_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
-    """Levels L_1..L_k (ideals as bitmasks) from a walk over the ideals inside
-    the closure of the code support; m(I) = k - rank of the generator columns
+def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
+    """Levels L_1..L_k (ideals as bitmasks) from the walk record of the ideals
+    inside ``top`` = closure(supp C); m(I) = k - rank of the generator columns
     outside I, with one column inserted per lattice edge."""
     field, k = c.field, c.k
     columns = [tuple(row[j] for row in c.subspace.basis) for j in range(c.n)]
-    top = c.poset.ideal_mask(_code_support_mask(c))
+    ideals = [top] * (top.bit_count() + 1)
     bases = [()] * (top.bit_count() + 1)
     best = [None] * (k + 1)
     levels = [[] for _ in range(k + 1)]
-    for depth, ideal, e in _ideals_within(c.poset, top):
+    for depth, e in zip(*walk):
         if depth:
+            ideals[depth] = ideals[depth - 1] ^ (1 << e)
             bases[depth] = _insert(field, bases[depth - 1], columns[e])
+        ideal = ideals[depth]
         m = k - len(bases[depth])
         size = ideal.bit_count()
         # L_r is the set of least ideals with m(I) = r (see the note above)
@@ -290,25 +297,25 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
 
 def _coefficients_within(c: LinearCode, ideal: int):
     """Pivots and RREF rows of {x in F_q^k : x.G vanishes outside the ideal}:
-    the coefficients of C ∩ F^I in the basis of C."""
+    the coefficients of C ∩ F^I in the basis of C.  Eliminating the outside
+    columns right to left leaves each pivot row zero beyond its pivot, so the
+    kernel vectors, one per free column in order, are already in RREF."""
     field, k = c.field, c.k
     outside = [
         tuple(row[j] for row in c.subspace.basis)
         for j in range(c.n)
         if not (ideal >> j) & 1
     ]
-    rows, pivots = _rref_rows(field, outside, k)
+    rows, pivots = _rref_rows(field, outside, k, range(k - 1, -1, -1))
+    free = tuple(f for f in range(k) if f not in pivots)
     kernel = []
-    for f in range(k):
-        if f in pivots:
-            continue
+    for f in free:
         x = [0] * k
         x[f] = 1
         for row, p in zip(rows, pivots):
             x[p] = field.neg(row[f])
-        kernel.append(x)
-    rows, pivots = _rref_rows(field, kernel, k)
-    return tuple(pivots), tuple(rows)
+        kernel.append(tuple(x))
+    return free, tuple(kernel)
 
 
 class CodeAnalysis:
@@ -372,18 +379,16 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
     """Weight hierarchy, flag count and witness flag from the ideal lattice.
 
     The levels come from the ideals inside the closure S of the code support
-    when there are at most sum_r [k r]_q of them (counted before any rank
+    when there are at most sum_r [k r]_q of them (recorded before any rank
     work), and otherwise from one pass over the subcodes per dimension.
     ``budget`` caps the ideals or the subcodes of the path taken.
     """
-    if c.k == 0:
-        return CodeAnalysis(c, ())
     top = c.poset.ideal_mask(_code_support_mask(c))
     subcodes = sum(gaussian_row(c.k, c.field.q)[1:])
     limit = subcodes if budget is None else min(subcodes, budget)
-    ideals = sum(1 for _ in islice(_ideals_within(c.poset, top), limit + 1))
-    if ideals <= limit:
-        levels = _ideal_levels(c)
+    walk = _ideal_walk(c.poset, top, limit)
+    if walk is not None:
+        levels = _ideal_levels(c, top, walk)
     elif limit < subcodes:
         raise BudgetExceeded(
             f"more than {limit} ideals and {subcodes} subcodes exceed the budget {budget}",
@@ -478,4 +483,4 @@ def load_code(
         )
     field = GF(gfile.q)
     vectors = vectors_from_generator_file(gfile, flatten, chain_shape)
-    return LinearCode(poset, span(field, gfile.n, vectors))
+    return LinearCode(poset, _span(field, gfile.n, vectors))

@@ -24,6 +24,19 @@ CHAIN3 = DEMO / "chain_3.json"
 RT_POSET = DEMO / "disjoint_chains_3x2.json"
 RT_CODE = DEMO / "rt_code_3x2.txt"
 EXPECT_OK = DEMO / "expected_weak_order.json"
+# the reports of the zero code (k = 0) under the weak order
+ZERO_CODE_REPORTS = {
+    "hierarchy": {
+        "q": 2,
+        "n": 27,
+        "k": 0,
+        "hierarchy": [],
+        "support": [],
+        "support_totally_ordered": True,
+    },
+    "chain": {"hierarchy": [], "chain_condition": True, "flag": [], "unique": True},
+    "flag": {"flag": [], "weights": [], "flag_count": 1},
+}
 
 
 class TestHierarchy:
@@ -40,12 +53,15 @@ class TestHierarchy:
         assert report["hierarchy"] == [3, 6, 9]
         assert report["support_totally_ordered"] is False
 
-    def test_zero_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("budget", ((), ("--budget", "0")), ids=("default", "budget0"))
+    @pytest.mark.parametrize("command", ZERO_CODE_REPORTS)
+    def test_zero_code(self, capsys, tmp_path, command, budget):
+        # k = 0 has no nonzero subcode to enumerate, so even --budget 0 holds
         empty = tmp_path / "zero.txt"
         empty.write_text("2 27 0\n")
-        code, report = run_cli(capsys, "hierarchy", "--poset", WEAK, "--code", empty)
+        code, report = run_cli(capsys, command, "--poset", WEAK, "--code", empty, *budget)
         assert code == 0
-        assert report["hierarchy"] == []
+        assert report == ZERO_CODE_REPORTS[command]
 
     def test_byte_stable_output(self, capsys):
         main(["hierarchy", "--poset", str(WEAK), "--code", str(CODE27)])
