@@ -230,12 +230,16 @@ def _cmd_bound(args):
     poset = load_poset(args.poset)
     partition = _resolve_partition(args, poset)
     rep = chain_condition_lower_bound(partition, args.q)
+    bound = str(rep.bound)
+    # Chains of one size share a row, and [s j]_q = [s s-j]_q, so few
+    # values are distinct; render each of them once.
+    text = {x: str(x) for x in set().union(*rep.addends)}
     report = {
         "q": rep.q,
         "chains": [list(c) for c in partition.chains],
         "nu": list(rep.nu),
-        "bound": str(rep.bound),
-        "addends": [[str(x) for x in row] for row in rep.addends],
+        "bound": bound,
+        "addends": [[text[x] for x in row] for row in rep.addends],
     }
     _emit(report, args)
     return EXIT_OK

@@ -3,7 +3,8 @@
 Elements are 1-based everywhere in the public API, matching the usual
 ground-set convention {1, 2, .., n}.  Internally the order relation is a
 tuple of down-set bitmasks: bit ``e - 1`` of ``_down[i - 1]`` is set iff
-``e <= i`` in the order.  Posets are immutable and safe to share.
+``e <= i`` in the order.  ``_up`` holds the transposed masks, the up-sets.
+Posets are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -43,17 +44,19 @@ class ChainPartition:
 class Poset:
     """Immutable partial order on {1, .., n}.
 
-    Constructing one validates the down-sets; ``_trusted`` skips that for
-    masks the package itself built as a partial order.
+    Constructing one validates the down-sets and derives the up-sets;
+    ``_trusted`` skips that for masks the package itself built as a partial
+    order, together with their up-sets.
     """
 
-    __slots__ = ("n", "_down")
+    __slots__ = ("n", "_down", "_up")
 
     @classmethod
-    def _trusted(cls, n: int, down_masks) -> Poset:
+    def _trusted(cls, n: int, down_masks, up_masks) -> Poset:
         p = object.__new__(cls)
         p.n = n
         p._down = tuple(down_masks)
+        p._up = tuple(up_masks)
         return p
 
     def __init__(self, n: int, down_masks):
@@ -68,14 +71,17 @@ class Poset:
                 raise RangeError(f"down-set of {i + 1} mentions elements outside 1..{n}")
             if not (m >> i) & 1:
                 raise InputError(f"relation is not reflexive at {i + 1}")
+        up = [0] * n
         for i, m in enumerate(masks):
             for j in _bits(m):
                 if j != i and (masks[j] >> i) & 1:
                     raise CycleError(f"elements {j + 1} and {i + 1} are mutually comparable")
                 if masks[j] & ~m:
                     raise InputError(f"relation is not transitive below {i + 1}")
+                up[j] |= 1 << i
         self.n = n
         self._down = masks
+        self._up = tuple(up)
 
     # -- queries ---------------------------------------------------------
 
@@ -141,39 +147,36 @@ class Poset:
         for a fixed input.
         """
         n = self.n
-        succ = [
-            [j for j in range(n) if j != i and (self._down[j] >> i) & 1]
-            for i in range(n)
-        ]
+        succ = [u ^ (1 << i) for i, u in enumerate(self._up)]
         match_l = [-1] * n
         match_r = [-1] * n
-
-        def augment(root: int) -> bool:
+        matched = 0
+        for root in range(n):
             # Depth-first search for an augmenting path from root, without
-            # recursion: path[d] is the successor that frame d is trying.
-            seen = set()
-            frames = [(root, iter(succ[root]))]
+            # recursion: frames are left vertices, path[d] is the successor
+            # frame d is trying.  A frame's next successor is the lowest one
+            # not yet visited; the ones below it were visited already.
+            unseen = (1 << n) - 1
+            frames = [root]
             path = []
             while frames:
-                for j in frames[-1][1]:
-                    if j not in seen:
-                        break
-                else:
+                avail = succ[frames[-1]] & unseen
+                if not avail:
                     frames.pop()
                     if path:
                         path.pop()
                     continue
-                seen.add(j)
+                low = avail & -avail
+                unseen ^= low
+                j = low.bit_length() - 1
                 path.append(j)
                 if match_r[j] == -1:
-                    for (i, _), j in zip(frames, path):
+                    for i, j in zip(frames, path):
                         match_l[i] = j
                         match_r[j] = i
-                    return True
-                frames.append((match_r[j], iter(succ[match_r[j]])))
-            return False
-
-        matched = sum(augment(i) for i in range(n))
+                    matched += 1
+                    break
+                frames.append(match_r[j])
         width = n - matched
         chains = []
         for head in range(n):
@@ -203,10 +206,17 @@ class Poset:
 
 
 def from_cover_relations(n: int, covers) -> Poset:
-    """Reflexive-transitive closure of the given cover pairs (a, b) = a < b."""
+    """Reflexive-transitive closure of the given cover pairs (a, b) = a < b.
+
+    The closure runs in topological order (Kahn's algorithm): each element's
+    finished down-set is ORed into its upper covers, and the up-sets are
+    built in the reverse order.
+    """
     if n < 1:
         raise RangeError(f"ground set size must be positive, got {n}")
     down = [1 << i for i in range(n)]
+    upper = [[] for _ in range(n)]
+    lower_count = [0] * n
     for pair in covers:
         a, b = pair
         if not (_is_int(a) and _is_int(b)):
@@ -215,17 +225,43 @@ def from_cover_relations(n: int, covers) -> Poset:
             raise RangeError(f"cover pair {pair!r} outside 1..{n}")
         if a == b:
             raise InputError(f"cover pair {pair!r} relates an element to itself")
-        down[b - 1] |= 1 << (a - 1)
-    for k in range(n):
+        if not (down[b - 1] >> (a - 1)) & 1:
+            down[b - 1] |= 1 << (a - 1)
+            upper[a - 1].append(b - 1)
+            lower_count[b - 1] += 1
+    order = [i for i in range(n) if not lower_count[i]]
+    for i in order:  # grows while it is read
+        for j in upper[i]:
+            down[j] |= down[i]
+            lower_count[j] -= 1
+            if not lower_count[j]:
+                order.append(j)
+    if len(order) < n:
+        _raise_cycle(down, [i for i in range(n) if lower_count[i]])
+    up = [0] * n
+    for i in reversed(order):
+        mask = 1 << i
+        for j in upper[i]:
+            mask |= up[j]
+        up[i] = mask
+    return Poset._trusted(n, down, up)
+
+
+def _raise_cycle(down, left) -> None:
+    """Name the smallest element on a cycle and the smallest other element
+    of its cycle.  ``left`` lists, ascending, the elements that the
+    topological closure could not finish: those on or above a cycle.
+    Elements below them are finished, so closing ``left`` among itself
+    completes their down-sets."""
+    for k in left:
         bit = 1 << k
-        for i in range(n):
+        for i in left:
             if down[i] & bit:
                 down[i] |= down[k]
-    for i in range(n):
+    for i in left:
         for j in _bits(down[i]):
             if j != i and (down[j] >> i) & 1:
                 raise CycleError(f"covers close into a cycle through {j + 1} and {i + 1}")
-    return Poset._trusted(n, down)
 
 
 def weak_order(block_sizes) -> Poset:
@@ -239,16 +275,17 @@ def weak_order(block_sizes) -> Poset:
         raise EmptyInputError("weak order needs at least one block")
     if any(s < 1 for s in sizes):
         raise RangeError(f"block sizes must be positive, got {sizes}")
-    down = []
-    below = 0
+    n = sum(sizes)
+    down, up = [], []
     start = 0
     for s in sizes:
+        below = (1 << start) - 1
+        above = ((1 << n) - 1) ^ ((1 << (start + s)) - 1)
         for i in range(start, start + s):
             down.append(below | (1 << i))
-        for i in range(start, start + s):
-            below |= 1 << i
+            up.append(above | (1 << i))
         start += s
-    return Poset._trusted(sum(sizes), down)
+    return Poset._trusted(n, down, up)
 
 
 def disjoint_chains(chain_length: int, num_chains: int) -> Poset:
@@ -258,13 +295,14 @@ def disjoint_chains(chain_length: int, num_chains: int) -> Poset:
         raise RangeError(
             f"chain length and count must be positive, got ({chain_length}, {num_chains})"
         )
-    down = []
+    down, up = [], []
     for j in range(num_chains):
-        prefix = 0
-        for i in range(chain_length):
-            prefix |= 1 << (j * chain_length + i)
-            down.append(prefix)
-    return Poset._trusted(chain_length * num_chains, down)
+        # chain j is the bits lo .. hi - 1
+        lo, hi = j * chain_length, (j + 1) * chain_length
+        for i in range(lo, hi):
+            down.append((1 << (i + 1)) - (1 << lo))
+            up.append((1 << hi) - (1 << i))
+    return Poset._trusted(chain_length * num_chains, down, up)
 
 
 def chain(n: int) -> Poset:
@@ -276,7 +314,8 @@ def antichain(n: int) -> Poset:
     """n pairwise-incomparable elements (recovers the Hamming metric)."""
     if n < 1:
         raise RangeError(f"ground set size must be positive, got {n}")
-    return Poset._trusted(n, [1 << i for i in range(n)])
+    masks = [1 << i for i in range(n)]
+    return Poset._trusted(n, masks, masks)
 
 
 # -- description files ---------------------------------------------------------

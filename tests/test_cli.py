@@ -7,7 +7,7 @@ import pytest
 
 from posetcodes import cli
 from posetcodes.cli import main
-from posetcodes.linalg import DEFAULT_BUDGET
+from posetcodes.linalg import DEFAULT_BUDGET, gaussian_row
 from conftest import DEMO
 
 
@@ -145,6 +145,19 @@ class TestBoundAndCensus:
         )
         assert code == 0
         assert report["bound"] == "15"
+
+    def test_bound_renders_every_addend(self, capsys, tmp_path):
+        # chains of sizes 5, 2, 5 and 1 share rows and repeat values
+        covers = [[1, 2], [2, 3], [3, 4], [4, 5], [6, 7]]
+        covers += [[8, 9], [9, 10], [10, 11], [11, 12]]
+        poset = tmp_path / "mixed.json"
+        poset.write_text(json.dumps({"n": 13, "covers": covers}))
+        code, report = run_cli(capsys, "bound", "--poset", poset, "--q", "9")
+        assert code == 0
+        assert report["nu"] == [5, 2, 5, 1]
+        rows = [gaussian_row(s, 9)[1:] for s in report["nu"]]
+        assert report["addends"] == [[str(x) for x in row] for row in rows]
+        assert report["bound"] == str(sum(map(sum, rows)))
 
     def test_census_chain3_tight(self, capsys):
         code, report = run_cli(capsys, "census", "--poset", CHAIN3, "--q", "2")

@@ -70,6 +70,53 @@ def recursive_width_and_partition(p):
     return n - matched, ChainPartition(tuple(chains))
 
 
+def warshall_closure(n, covers):
+    """Down-set masks of the closure of the covers, by the quadratic Warshall
+    loop that the topological closure replaced; raises the same CycleError
+    (oracle for the masks and for the cycle pair it names)."""
+    down = [1 << i for i in range(n)]
+    for a, b in covers:
+        down[b - 1] |= 1 << (a - 1)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if down[i] & bit:
+                down[i] |= down[k]
+    for i in range(n):
+        for j in range(n):
+            if j != i and (down[i] >> j) & 1 and (down[j] >> i) & 1:
+                raise CycleError(f"covers close into a cycle through {j + 1} and {i + 1}")
+    return tuple(down)
+
+
+def transpose(masks):
+    n = len(masks)
+    return tuple(sum(1 << i for i in range(n) if (masks[i] >> j) & 1) for j in range(n))
+
+
+def random_cover_list(rng, n, cycles=0):
+    """Covers of a random order on n elements, listed in any order, with
+    duplicate and transitive (redundant) pairs and ``cycles`` planted 2- or
+    3-cycles."""
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    density = rng.choice((0.02, 0.1, 0.35))
+    pairs = [
+        (label[i], label[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < density
+    ]
+    pairs += rng.choices(pairs, k=len(pairs) // 4)
+    for _ in range(cycles):
+        if n < 3:
+            break
+        ring = rng.sample(range(1, n + 1), rng.choice((2, 3)))
+        pairs += list(zip(ring, ring[1:] + ring[:1]))
+    rng.shuffle(pairs)
+    return pairs
+
+
 def zigzag(m, rng=None):
     """Covers a_i < b_i and a_i < b_(i-1) on 2m elements, optionally relabelled.
     Its width is m, and the matcher's augmenting paths grow to length m."""
@@ -111,6 +158,27 @@ class TestConstructors:
     def test_out_of_range_cover(self):
         with pytest.raises(RangeError):
             from_cover_relations(2, [(1, 5)])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_closure_matches_warshall(self, seed):
+        rng = random.Random(f"closure:{seed}")
+        n = rng.randint(1, 60)
+        covers = random_cover_list(rng, n, cycles=seed % 3)
+        try:
+            expected = warshall_closure(n, covers)
+        except CycleError as exc:
+            with pytest.raises(CycleError) as got:
+                from_cover_relations(n, covers)
+            assert str(got.value) == str(exc)
+        else:
+            p = from_cover_relations(n, covers)
+            assert p._down == expected and p._up == transpose(expected)
+
+    def test_cycle_names_its_smallest_elements(self):
+        # 5 < 2 < 4 < 5 sits above the chain 1 < 3; 6 sits above the cycle
+        covers = [(1, 3), (3, 5), (5, 2), (2, 4), (4, 5), (4, 6)]
+        with pytest.raises(CycleError, match=r"^covers close into a cycle through 4 and 2$"):
+            from_cover_relations(6, covers)
 
     def test_self_cover_rejected(self):
         with pytest.raises(InputError):
@@ -260,6 +328,29 @@ class TestWidthAndPartition:
         for p in posets:
             assert p.width_and_min_chain_partition() == recursive_width_and_partition(p)
 
+    def test_same_partition_on_weak_orders_and_dense_covers(self):
+        rng = random.Random("matcher:dense")
+        posets = [weak_order([6, 8, 10, 12, 14] * 2), weak_order([1] * 40 + [40])]
+        posets += [random_poset(rng, "weak_order", rng.randint(1, 120)) for _ in range(4)]
+        posets += [random_cover_poset(rng, rng.randint(1, 120)) for _ in range(4)]
+        for p in posets:
+            assert p.width_and_min_chain_partition() == recursive_width_and_partition(p)
+
+    def test_twenty_thousand_elements(self):
+        # the quadratic closure and successor lists took minutes at this size
+        m = 10_000
+        p = zigzag(m)
+        assert p._down[m] == 0b11 | 1 << m  # b_1 covers a_1 and a_2
+        assert p._down[-1] == 1 << (m - 1) | 1 << (2 * m - 1)  # b_m covers a_m only
+        assert p._up[0] == 1 | 1 << m  # a_1 lies below b_1 only
+        assert p._up[m - 1] == 1 << (m - 1) | 0b11 << (2 * m - 2)
+        del p
+        n = 2 * m
+        width, part = chain(n).width_and_min_chain_partition()
+        assert (width, part.chains) == (1, (tuple(range(1, n + 1)),))
+        width, part = antichain(n).width_and_min_chain_partition()
+        assert width == n and part.sizes == (1,) * n
+
     def test_partition_and_bound_leave_no_cyclic_garbage(self):
         # Garbage that only the cycle collector can free piles up between
         # collections and raises the peak memory of a run.
@@ -326,6 +417,7 @@ def test_package_built_posets_pass_full_validation():
     for p in built:
         checked = Poset(p.n, p._down)
         assert p == checked and hash(p) == hash(checked)
+        assert p._up == checked._up == transpose(p._down)
 
 
 def test_direct_construction_still_validates():
