@@ -12,9 +12,17 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, compress
+from operator import or_
 
-from .errors import BudgetExceeded, ChainConditionUnsatisfied, InputError, LengthMismatch
+from .errors import (
+    BudgetExceeded,
+    ChainConditionUnsatisfied,
+    InputError,
+    LengthMismatch,
+    count_text,
+)
 from .gf import GF, FiniteField
 from .linalg import (
     DEFAULT_BUDGET,
@@ -27,7 +35,7 @@ from .linalg import (
     gaussian_row,
     read_generator_file,
 )
-from .poset import Poset
+from .poset import Poset, _bits
 
 
 # -- supports and weights -----------------------------------------------------
@@ -179,17 +187,20 @@ def _ideal_walk(p: Poset, top: int, limit: int):
     Returns two arrays: each ideal's depth and the element removed from its
     parent, the ideal last recorded at depth - 1.  Starting from ``top``,
     maximal elements are removed in decreasing order of a linear extension,
-    so each ideal has one removal sequence.
+    so each ideal has one removal sequence.  When the maximal or the minimal
+    elements of ``top`` alone generate more than ``limit`` ideals, it returns
+    None before recording any.
     """
-    down = p._down
-    order = sorted(
-        (e for e in range(p.n) if (top >> e) & 1), key=lambda e: (down[e].bit_count(), e)
-    )
+    down, up = p._down, p._up
+    # an element above order[j] has a larger down-set, so it comes later
+    order = sorted(_bits(top), key=lambda e: (down[e].bit_count(), e))
     bit = [1 << e for e in order]
-    above = [
-        sum(bit[i] for i in range(j + 1, len(order)) if (down[order[i]] >> order[j]) & 1)
-        for j in range(len(order))
-    ]
+    above = [(up[e] & top) ^ b for e, b in zip(order, bit)]
+    # every subset of an antichain of S generates its own ideal, and the
+    # maximal elements form one antichain, the minimal elements another
+    width = max(above.count(0), sum(down[e] == b for e, b in zip(order, bit)))
+    if 1 << width > limit:
+        return None
     depths, removed = array("I"), array("I")
     stack = [(0, top, len(order), 0)]
     while stack:
@@ -252,29 +263,19 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
     rows, so the closures of all forms with that pivot set are the unions of
     one closure per row: a fold over the rows, with duplicates dropped.
     """
-    field, k, p = c.field, c.k, c.poset
-    closures = {}
+    field, k, down, basis = c.field, c.k, c.poset._down, c.subspace.basis
+    scalars = range(1, field.q)
     row_closures = {}
 
-    def closure(coeff):
-        if coeff not in closures:
-            word = _combine(field, coeff, c.subspace.basis, c.n)
-            closures[coeff] = p.ideal_mask(_support_mask(word))
-        return closures[coeff]
-
     def closures_of_rows(pivot, free):
-        """Closures of the rows with a 1 at ``pivot``, any entries at ``free``
-        and zeros elsewhere."""
+        """Closures of the words whose coefficients are 1 at ``pivot``, any
+        value at ``free`` and zero elsewhere: one row operation per word."""
         key = (pivot, free)
         if key not in row_closures:
-            row = [0] * k
-            row[pivot] = 1
-            found = set()
-            for values in product(field.elements(), repeat=len(free)):
-                for j, v in zip(free, values):
-                    row[j] = v
-                found.add(closure(tuple(row)))
-            row_closures[key] = found
+            words = [basis[pivot]]
+            for j in free:
+                words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
+            row_closures[key] = {reduce(or_, compress(down, word), 0) for word in words}
         return row_closures[key]
 
     levels = []
@@ -391,7 +392,8 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
         levels = _ideal_levels(c, top, walk)
     elif limit < subcodes:
         raise BudgetExceeded(
-            f"more than {limit} ideals and {subcodes} subcodes exceed the budget {budget}",
+            f"more than {limit} ideals and {count_text(subcodes)} subcodes "
+            f"exceed the budget {budget}",
             count=subcodes,
             budget=budget,
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .codes import LinearCode, analyze_code
-from .errors import BudgetExceeded, InputError, RangeError
+from .errors import BudgetExceeded, InputError, RangeError, count_text
 from .gf import GF, _factor_prime_power
 from .linalg import DEFAULT_BUDGET, _gaussian_prefix, enumerate_subspaces, full_space, gaussian_row
 from .poset import ChainPartition, Poset, _is_int, _read_json
@@ -73,7 +73,7 @@ def census(
     total = sum(islice(_gaussian_prefix(n, q), 1, max_dim + 1))
     if budget is not None and total > budget:
         raise BudgetExceeded(
-            f"census over {total} subspaces exceeds the budget {budget}",
+            f"census over {count_text(total)} subspaces exceeds the budget {budget}",
             count=total,
             budget=budget,
         )

@@ -49,3 +49,11 @@ class BudgetExceeded(PosetCodesError):
         self.count = count
         self.budget = budget
         self.r = r
+
+
+def count_text(x: int) -> str:
+    """x in decimal, however many digits it has: ``Decimal`` renders past
+    CPython's int->str digit limit, so a budget error can name any count."""
+    from decimal import Decimal  # only error paths need it; it adds ~4 ms to start-up
+
+    return str(Decimal(x))

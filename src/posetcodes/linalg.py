@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatch,
     RangeError,
     RankError,
+    count_text,
 )
 from .gf import FiniteField
 
@@ -296,7 +297,7 @@ def enumerate_subspaces(ambient: Subspace, r: int, budget: int | None = DEFAULT_
         total = gaussian_binomial(k, r, ambient.field.q)
         if total > budget:
             raise BudgetExceeded(
-                f"{total} subspaces of dimension {r} exceed the budget {budget}",
+                f"{count_text(total)} subspaces of dimension {r} exceed the budget {budget}",
                 count=total,
                 budget=budget,
             )
@@ -321,7 +322,7 @@ def enumerate_nonzero_codewords(s: Subspace, budget: int | None = DEFAULT_BUDGET
     count = s.field.q**s.dim - 1
     if budget is not None and count > budget:
         raise BudgetExceeded(
-            f"{count} codewords exceed the budget {budget}", count=count, budget=budget
+            f"{count_text(count)} codewords exceed the budget {budget}", count=count, budget=budget
         )
     return _iter_codewords(s)
 

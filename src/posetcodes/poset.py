@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import nsmallest
+from itertools import combinations, count
 from pathlib import Path
 
 from .errors import CycleError, EmptyInputError, InputError, RangeError
@@ -237,7 +238,7 @@ def from_cover_relations(n: int, covers) -> Poset:
             if not lower_count[j]:
                 order.append(j)
     if len(order) < n:
-        _raise_cycle(down, [i for i in range(n) if lower_count[i]])
+        _raise_cycle(upper, [i for i in range(n) if lower_count[i]])
     up = [0] * n
     for i in reversed(order):
         mask = 1 << i
@@ -247,21 +248,52 @@ def from_cover_relations(n: int, covers) -> Poset:
     return Poset._trusted(n, down, up)
 
 
-def _raise_cycle(down, left) -> None:
+def _raise_cycle(upper, left) -> None:
     """Name the smallest element on a cycle and the smallest other element
     of its cycle.  ``left`` lists, ascending, the elements that the
-    topological closure could not finish: those on or above a cycle.
-    Elements below them are finished, so closing ``left`` among itself
-    completes their down-sets."""
-    for k in left:
-        bit = 1 << k
-        for i in left:
-            if down[i] & bit:
-                down[i] |= down[k]
-    for i in left:
-        for j in _bits(down[i]):
-            if j != i and (down[j] >> i) & 1:
-                raise CycleError(f"covers close into a cycle through {j + 1} and {i + 1}")
+    topological closure could not finish: those on or above a cycle.  The
+    upper covers of an unfinished element are unfinished too, so the cycles
+    are the strongly connected components of two or more elements that
+    Tarjan's algorithm, run with an explicit stack, finds from ``left``."""
+    n = len(upper)
+    index = [-1] * n  # visiting order, -1 before the visit
+    low = [0] * n
+    on_stack = [False] * n
+    visits, stack, frames = count(), [], []
+    first = [n, n]  # the two smallest elements of the cycle found so far
+
+    def visit(v):
+        index[v] = low[v] = next(visits)
+        stack.append(v)
+        on_stack[v] = True
+        frames.append((v, iter(upper[v])))
+
+    for root in left:
+        if index[root] == -1:
+            visit(root)
+        while frames:
+            v, succ = frames[-1]
+            for w in succ:
+                if index[w] == -1:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:  # v roots a component: pop it
+                    component, w = [], None
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                    if len(component) > 1:
+                        first = min(first, nsmallest(2, component))
+    i, j = first
+    raise CycleError(f"covers close into a cycle through {j + 1} and {i + 1}")
 
 
 def weak_order(block_sizes) -> Poset:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -325,6 +326,25 @@ class TestErrorPaths:
         )
 
 
+@pytest.mark.parametrize("command", ("census", "hierarchy"))
+def test_budget_errors_name_counts_past_the_digit_limit(capsys, tmp_path, command):
+    # 250 points give more than 2^(125^2) subspaces: over 4,700 digits
+    n = 250
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"antichain": n}))
+    code = tmp_path / "code.txt"
+    rows = [" ".join("1" if j == i else "0" for j in range(n)) for i in range(n)]
+    code.write_text("\n".join([f"2 {n} {n}", *rows]) + "\n")
+    argv = {
+        "census": ["census", "--poset", poset, "--q", "2"],
+        "hierarchy": ["hierarchy", "--poset", poset, "--code", code],
+    }[command]
+    assert main([str(a) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert max(map(len, err.split())) > 4300
+
+
 def test_console_entry_point_via_module():
     proc = subprocess.run(
         [
@@ -421,3 +441,139 @@ class TestRepeatedCalls:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
+
+
+# -- seeded fuzzing of the input files ------------------------------------------------
+#
+# Each case mutates one demo file: its bytes, a JSON value or key, the code's
+# header line, or its size (lines dropped or repeated).  Every command must
+# end in a documented exit code with a one-line error, never a traceback.
+# Sizes stay below a few hundred elements, and every command runs under a
+# small budget, so the cases stay fast.
+
+FUZZ_VALUES = (
+    0, -1, 1, 2, 3, 4, 26, 27, 28, 300, 2.5, "3", "", None, True, False,
+    [], {}, [1, 2], [[1, 2]], [[2, 1]], [3, 3, 3], {"length": 3, "count": 2},
+)
+FUZZ_BYTES = (b"-", b"0", b"9", b"1", b" ", b"\n", b"\xff", b"[", b"]", b"{", b"}", b",", b'"', b"e")
+FUZZ_FIELDS = ("0", "1", "2", "3", "4", "6", "9", "16", "-2", "x", "2.0", "27", "28", "300")
+FUZZ_POSETS = ("weak_order_9x3.json", "antichain_27.json", "chain_3.json", "disjoint_chains_3x2.json")
+FUZZ_CODES = ("code_27_3.txt", "rt_code_3x2.txt")
+
+
+def _mutate_bytes(rng, data):
+    data = bytearray(data)
+    i = rng.randrange(len(data) + 1)
+    kind = rng.randrange(4)
+    if kind == 0 and i < len(data):
+        data[i] = rng.randrange(256)
+    elif kind == 1:
+        del data[i : i + rng.randint(1, 6)]
+    elif kind == 2:
+        data[i:i] = rng.choice(FUZZ_BYTES)
+    else:
+        del data[i:]
+    return bytes(data)
+
+
+def _mutate_json(rng, value):
+    """Replace one value or key somewhere inside a parsed JSON document."""
+    if isinstance(value, list) and value and rng.random() < 0.8:
+        value = list(value)
+        i = rng.randrange(len(value))
+        value[i] = _mutate_json(rng, value[i])
+        return value
+    if isinstance(value, dict) and value and rng.random() < 0.8:
+        value = dict(value)
+        key = rng.choice(sorted(value))
+        if rng.random() < 0.2:
+            value[rng.choice(("n", "chain", "covers", "hierarchy", "extra"))] = value.pop(key)
+        else:
+            value[key] = _mutate_json(rng, value[key])
+        return value
+    return rng.choice(FUZZ_VALUES)
+
+
+def _mutate_code(rng, text):
+    lines = text.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    kind = rng.randrange(3)
+    if kind == 0:  # header: q, n or k
+        fields = lines[header].split()
+        fields[rng.randrange(len(fields))] = rng.choice(FUZZ_FIELDS)
+        lines[header] = " ".join(fields) + "\n"
+    elif kind == 1:  # size: drop or repeat body lines
+        i = rng.randrange(header + 1, len(lines))
+        if rng.random() < 0.5:
+            del lines[i : i + rng.randint(1, 3)]
+        else:
+            lines[i:i] = lines[i : i + rng.randint(1, 3)]
+    else:
+        return _mutate_bytes(rng, text.encode())
+    return "".join(lines).encode()
+
+
+def _fuzz_case(rng, tmp_path):
+    """Write a mutated poset, code and expect file; return their paths."""
+    poset = json.loads((DEMO / rng.choice(FUZZ_POSETS)).read_text())
+    code = (DEMO / rng.choice(FUZZ_CODES)).read_text()
+    expect = json.loads(EXPECT_OK.read_text())
+    files = {
+        "poset": json.dumps(poset).encode(),
+        "code": code.encode(),
+        "expect": json.dumps(expect).encode(),
+    }
+    target = rng.choice(sorted(files))
+    if target == "code":
+        files["code"] = _mutate_code(rng, code)
+    elif rng.random() < 0.3:
+        files[target] = _mutate_bytes(rng, files[target])
+    else:
+        document = poset if target == "poset" else expect
+        files[target] = json.dumps(_mutate_json(rng, document)).encode()
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.fuzz"
+        paths[name].write_bytes(data)
+    return paths
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fuzzed_inputs_end_in_a_documented_exit_code(capsys, tmp_path, seed):
+    rng = random.Random(f"fuzz:{seed}")
+    budget = ["--budget", "2000"]
+    for case in range(25):
+        paths = _fuzz_case(rng, tmp_path)
+        instance = ["--poset", paths["poset"], "--code", paths["code"], *budget]
+        commands = (
+            ["hierarchy", *instance],
+            ["chain", *instance],
+            ["flag", *instance],
+            ["census", "--poset", paths["poset"], "--q", rng.choice("234"), *budget],
+            ["verify", *instance, "--expect", paths["expect"]],
+        )
+        for argv in commands:
+            where = f"seed {seed} case {case}: {' '.join(map(str, argv))}"
+            status = main([str(a) for a in argv])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err, where
+            if status == 4:
+                # a wrong expectation fails its checks, one report per check
+                assert argv[0] == "verify" and err.startswith("FAILED "), where
+                continue
+            assert status in (0, 1, 2, 3), where
+            assert err.count("\n") == (status in (2, 3)), where
+            assert not err or err.startswith("error: "), where
+
+
+@pytest.mark.xfail(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() > 0,
+    reason="ROADMAP item 3: bound dies on CPython's int->str digit limit",
+    raises=ValueError,
+    strict=True,
+)
+def test_bound_on_a_long_chain_renders_every_digit(capsys, tmp_path):
+    poset = tmp_path / "chain.json"
+    poset.write_text('{"chain": 240}')
+    assert main(["bound", "--poset", str(poset), "--q", "2"]) == 0
+    assert capsys.readouterr().err == ""

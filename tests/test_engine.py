@@ -6,7 +6,8 @@ one ``analyze_code`` would pick for it.
 
 import random
 import tracemalloc
-from itertools import product
+from array import array
+from itertools import combinations, product
 
 import pytest
 
@@ -18,6 +19,7 @@ from posetcodes import (
     chain,
     antichain,
     find_maximal_flag,
+    from_cover_relations,
     is_flag_unique,
     span,
     weak_order,
@@ -33,11 +35,13 @@ from posetcodes.codes import (
     _ideal_levels,
     _ideal_walk,
     _subcode_levels,
+    _support_mask,
     analyze_code,
 )
 from posetcodes.linalg import _combine, _span
 from posetcodes.random_instances import POSET_FAMILIES, random_code, random_poset
 from posetcodes.verify import exhaustive_flags, exhaustive_hierarchy
+from conftest import HIERARCHY_HAMMING
 
 # q -> (instances, largest k).  The larger fields get fewer and smaller codes:
 # the oracles enumerate all [k r]_q subcodes, which grows like q^(r(k - r)).
@@ -240,3 +244,198 @@ def test_tight_budgets_still_give_the_oracle_hierarchy(f2):
     assert analyze_code(walked, budget=9).hierarchy == exhaustive_hierarchy(walked)
     enumerated = LinearCode(antichain(6), span(f2, 6, ANTICHAIN_ROWS))
     assert analyze_code(enumerated, budget=4).hierarchy == exhaustive_hierarchy(enumerated)
+
+
+# -- the walk set-up and its early exit --------------------------------------------
+
+
+def _all_pairs_walk(p, top, limit):
+    """The walk as it was before it read the up-sets: ``above`` comes from a
+    loop over all pairs of the support, and nothing is decided before the
+    walk (oracle for the set-up and the early exit)."""
+    down = p._down
+    order = sorted(
+        (e for e in range(p.n) if (top >> e) & 1), key=lambda e: (down[e].bit_count(), e)
+    )
+    bit = [1 << e for e in order]
+    above = [
+        sum(bit[i] for i in range(j + 1, len(order)) if (down[order[i]] >> order[j]) & 1)
+        for j in range(len(order))
+    ]
+    depths, removed = array("I"), array("I")
+    stack = [(0, top, len(order), 0)]
+    while stack:
+        if len(depths) == limit:
+            return None
+        depth, ideal, t, e = stack.pop()
+        depths.append(depth)
+        removed.append(e)
+        for j in range(t):
+            if not above[j] & ideal:
+                stack.append((depth + 1, ideal ^ bit[j], j, order[j]))
+    return depths, removed
+
+
+def random_bipartite(rng, n):
+    """Some elements below the others, each such relation drawn with
+    probability 1/2, under shuffled labels: posets of height at most 2 whose
+    maximal and minimal elements are both many."""
+    label = rng.sample(range(1, n + 1), n)
+    low = rng.randint(1, n)
+    covers = [
+        (label[i], label[j])
+        for i in range(low)
+        for j in range(low, n)
+        if rng.random() < 0.5
+    ]
+    return from_cover_relations(n, covers)
+
+
+def _walk_cases(name, count, max_n):
+    """Seeded (poset, top) pairs from every family and bipartite posets."""
+    rng = random.Random(name)
+    for family in (*POSET_FAMILIES, "bipartite"):
+        for _ in range(count):
+            n = rng.randint(1, max_n)
+            if family == "bipartite":
+                p = random_bipartite(rng, n)
+            else:
+                p = random_poset(rng, family, n)
+            yield family, p, p.ideal_mask(rng.getrandbits(n))
+
+
+def test_up_set_walk_matches_the_all_pairs_walk():
+    for family, p, top in _walk_cases("setup", 25, 12):
+        limit = 1 << p.n  # never reached: S has at most 2^n ideals
+        assert _ideal_walk(p, top, limit) == _all_pairs_walk(p, top, limit), (
+            f"{family} {p!r} top={top:b}"
+        )
+
+
+def test_walk_gives_up_exactly_when_the_ideals_exceed_the_limit():
+    for family, p, top in _walk_cases("early exit", 25, 12):
+        full = _all_pairs_walk(p, top, 1 << p.n)
+        count = len(full[0])
+        members = [e for e in p.elements if (top >> (e - 1)) & 1]
+        maximal = [a for a in members if not any(p.leq(a, b) for b in members if b != a)]
+        minimal = [a for a in members if not any(p.leq(b, a) for b in members if b != a)]
+        width = max(len(maximal), len(minimal))
+        for limit in {(1 << width) - 1, 1 << width, count - 1, count}:
+            where = f"{family} {p!r} top={top:b} ideals={count} limit={limit}"
+            walk = _ideal_walk(p, top, limit)
+            if count > limit:
+                assert walk is None, where
+            else:
+                assert walk == full, where
+
+
+# A code on the middle block of weak_order([1, 9, 1]): S = closure(supp C) has
+# 1 + 2^9 ideals and 3 + 1 = 4 subcodes.
+MIDDLE_BLOCK_ROWS = ((0,) + (1,) * 5 + (0,) * 5, (0,) * 5 + (1,) * 5 + (0,))
+
+
+def test_wide_closures_record_no_ideal(monkeypatch, code_hamming, code_weak):
+    recorded = []
+
+    class CountedArray(array):
+        def append(self, x):
+            recorded.append(x)
+            super().append(x)
+
+    monkeypatch.setattr(codes, "array", CountedArray)
+    # nine independent support points generate 2^9 ideals, more than the
+    # 7 + 7 + 1 subcodes, so the walk gives up before its first record
+    assert analyze_code(code_hamming).hierarchy == HIERARCHY_HAMMING
+    assert recorded == []
+    # the middle block is maximal in S although the top block lies above it
+    middle = LinearCode(weak_order([1, 9, 1]), span(GF(2), 11, MIDDLE_BLOCK_ROWS))
+    assert analyze_code(middle).hierarchy == exhaustive_hierarchy(middle)
+    assert recorded == []
+    # the counter does count: the weak order's closure is walked
+    analyze_code(code_weak)
+    assert recorded
+
+
+# -- the subcode path at workload scale ---------------------------------------------
+
+
+def _combined_subcode_levels(c):
+    """The subcode levels as they were built before one row operation per
+    word: every coefficient row is combined from the whole basis and closed
+    through ``ideal_mask``, with one closure cached per coefficient row
+    (oracle)."""
+    field, k, p = c.field, c.k, c.poset
+    closures = {}
+    row_closures = {}
+
+    def closure(coeff):
+        if coeff not in closures:
+            word = _combine(field, coeff, c.subspace.basis, c.n)
+            closures[coeff] = p.ideal_mask(_support_mask(word))
+        return closures[coeff]
+
+    def closures_of_rows(pivot, free):
+        key = (pivot, free)
+        if key not in row_closures:
+            row = [0] * k
+            row[pivot] = 1
+            found = set()
+            for values in product(field.elements(), repeat=len(free)):
+                for j, v in zip(free, values):
+                    row[j] = v
+                found.add(closure(tuple(row)))
+            row_closures[key] = found
+        return row_closures[key]
+
+    levels = []
+    for r in range(1, k + 1):
+        best, level = None, set()
+        for pivots in combinations(range(k), r):
+            unions = {0}
+            for pivot in pivots:
+                free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
+                unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
+            for ideal in unions:
+                size = ideal.bit_count()
+                if best is None or size < best:
+                    best, level = size, {ideal}
+                elif size == best:
+                    level.add(ideal)
+        levels.append(frozenset(level))
+    return tuple(levels)
+
+
+def sparse_code(rng, field, p, k, density):
+    """A code of dimension k whose generator entries are nonzero with the
+    given probability (redrawn until the rank is k)."""
+    while True:
+        rows = [
+            [rng.randrange(1, field.q) if rng.random() < density else 0 for _ in range(p.n)]
+            for _ in range(k)
+        ]
+        s = span(field, p.n, rows)
+        if s.dim == k:
+            return LinearCode(p, s)
+
+
+# q -> largest k; the oracle folds up to q^(k - r) closures per row of a form
+WORKLOAD_K = {2: 6, 3: 5, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3}
+
+
+@pytest.mark.parametrize("q", WORKLOAD_K)
+def test_subcode_levels_match_the_combined_rows_at_workload_scale(q):
+    field = GF(q)
+    rng = random.Random(f"subcode:{q}")
+    for family in ("antichain", "bipartite", "weak_order"):
+        for _ in range(6):
+            n = rng.randint(14, 24)
+            if family == "antichain":
+                p = antichain(n)
+            elif family == "bipartite":
+                p = random_bipartite(rng, n)
+            else:
+                p = weak_order([n // 2, n - n // 2])
+            k = rng.randint(2, WORKLOAD_K[q])
+            code = sparse_code(rng, field, p, k, rng.choice((0.15, 0.3, 0.6)))
+            where = f"{family} q={q} n={n} basis={code.subspace.basis}"
+            assert _subcode_levels(code) == _combined_subcode_levels(code), where

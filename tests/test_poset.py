@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,43 @@ class TestConstructors:
         covers = [(1, 3), (3, 5), (5, 2), (2, 4), (4, 5), (4, 6)]
         with pytest.raises(CycleError, match=r"^covers close into a cycle through 4 and 2$"):
             from_cover_relations(6, covers)
+
+    def test_long_single_cycle_raises_in_linear_work(self):
+        # the Warshall closure of this cycle does 4 * 10^8 mask steps
+        n = 20_000
+        covers = [(i, i % n + 1) for i in range(1, n + 1)]
+        with pytest.raises(CycleError, match=r"^covers close into a cycle through 2 and 1$"):
+            from_cover_relations(n, covers)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_disjoint_cycles_name_the_smallest_ones_partner(self, seed):
+        # interleaved labels: the second-smallest cycle element usually sits
+        # on another cycle than the smallest, and must not be named
+        rng = random.Random(f"cycles:{seed}")
+        n = rng.randint(4, 50)
+        labels = rng.sample(range(1, n + 1), n)
+        rings, start = [], 0
+        while n - start >= 2:
+            size = min(rng.randint(2, 6), n - start)
+            rings.append(labels[start : start + size])
+            start += size
+        covers = [pair for ring in rings for pair in zip(ring, ring[1:] + ring[:1])]
+        # covers from earlier rings to later ones join no two rings into one cycle
+        covers += [
+            (rng.choice(rings[a]), rng.choice(rings[b]))
+            for a, b in combinations(range(len(rings)), 2)
+            if rng.random() < 0.3
+        ]
+        rng.shuffle(covers)
+        smallest = min(labels[:start])
+        partner = min(e for ring in rings if smallest in ring for e in ring if e != smallest)
+        message = f"covers close into a cycle through {partner} and {smallest}"
+        with pytest.raises(CycleError) as oracle:
+            warshall_closure(n, covers)
+        assert str(oracle.value) == message
+        with pytest.raises(CycleError) as got:
+            from_cover_relations(n, covers)
+        assert str(got.value) == message
 
     def test_self_cover_rejected(self):
         with pytest.raises(InputError):
