@@ -16,11 +16,11 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .codes import analyze_code, load_code, support_of_code
+from .codes import _load_code, analyze_code, support_of_code
 from .counting import census, chain_condition_lower_bound, load_partition
 from .errors import BudgetExceeded, InputError
 from .linalg import DEFAULT_BUDGET
-from .poset import _is_int, _read_json, load_poset, poset_from_dict
+from .poset import _is_int, _read_json, load_poset, poset_builder
 from .verify import batch_checks, instance_checks
 
 EXIT_OK = 0
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_instance(args):
     pdict = _read_json(args.poset)
-    poset = poset_from_dict(pdict)
+    size, build = poset_builder(pdict)
     flatten = args.flatten
     chain_shape = None
     if "disjoint_chains" in pdict:
@@ -112,7 +112,7 @@ def _load_instance(args):
             flatten = "col"
     elif flatten == "auto":
         flatten = "row"
-    return load_code(args.code, poset, flatten=flatten, chain_shape=chain_shape)
+    return _load_code(args.code, size, build, flatten, chain_shape)
 
 
 def _load_expect(path):

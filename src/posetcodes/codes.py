@@ -319,29 +319,43 @@ def _coefficients_within(c: LinearCode, ideal: int):
     return free, tuple(kernel)
 
 
+def _count_chains(levels):
+    """``counts[r - 1]`` maps each ideal of L_r that starts a chain through
+    L_r, .., L_k to the number of such chains."""
+    counted = []
+    after = {-1: 1}  # the all-ones mask: every ideal of L_k ends one chain
+    for level in reversed(levels):
+        here = {
+            ideal: sum(n for upper, n in after.items() if not ideal & ~upper)
+            for ideal in level
+        }
+        after = {ideal: n for ideal, n in here.items() if n}
+        counted.append(after)
+    return tuple(reversed(counted))
+
+
 class CodeAnalysis:
     """Hierarchy, flag count and witness flag of one code, from its levels
     L_1..L_k (empty for the zero code).
 
-    ``chain_counts[r - 1]`` maps each ideal of L_r that starts a chain
-    through L_r, .., L_k to the number of such chains.
+    The chain counts compare the ideals of consecutive levels pairwise, so
+    they are built on first use: the hierarchy alone never pays for them.
     """
 
-    __slots__ = ("code", "hierarchy", "chain_counts")
+    __slots__ = ("code", "hierarchy", "_levels", "_chain_counts")
 
     def __init__(self, c: LinearCode, levels):
         self.code = c
         self.hierarchy = tuple(next(iter(level)).bit_count() for level in levels)
-        counted = []
-        after = {-1: 1}  # the all-ones mask: every ideal of L_k ends one chain
-        for level in reversed(levels):
-            here = {
-                ideal: sum(n for upper, n in after.items() if not ideal & ~upper)
-                for ideal in level
-            }
-            after = {ideal: n for ideal, n in here.items() if n}
-            counted.append(after)
-        self.chain_counts = tuple(reversed(counted))
+        self._levels = levels
+        self._chain_counts = None
+
+    @property
+    def chain_counts(self):
+        """The counts of ``_count_chains``, built on first use."""
+        if self._chain_counts is None:
+            self._chain_counts = _count_chains(self._levels)
+        return self._chain_counts
 
     @property
     def flag_count(self) -> int:
@@ -349,8 +363,8 @@ class CodeAnalysis:
         return sum(self.chain_counts[0].values()) if self.chain_counts else 1
 
     def witness(self) -> Flag | None:
-        """The first maximal flag found by the exhaustive depth-first search
-        (``verify.exhaustive_flags``).
+        """The first maximal flag found by the exhaustive depth-first search,
+        the first flag of ``verify.exhaustive_flags(c, budget)``.
 
         That search takes, level by level, the first achiever in subspace
         enumeration order that contains the previous one and still extends
@@ -478,11 +492,17 @@ def load_code(
     chain_shape: tuple[int, int] | None = None,
 ) -> LinearCode:
     """Read a generator-matrix file and bind it to the poset."""
+    return _load_code(path, poset.n, lambda: poset, flatten, chain_shape)
+
+
+def _load_code(path, size: int, build_poset, flatten, chain_shape) -> LinearCode:
+    """``load_code`` for the poset that ``build_poset`` makes, once the code
+    length has matched the poset's declared ``size``: a poset holds about
+    2 n^2 bits of order masks, so a mismatch is reported before they exist."""
     gfile = read_generator_file(path)
-    if gfile.n != poset.n:
-        raise LengthMismatch(
-            f"{path}: code length {gfile.n} does not match poset size {poset.n}"
-        )
+    if gfile.n != size:
+        raise LengthMismatch(f"{path}: code length {gfile.n} does not match poset size {size}")
+    poset = build_poset()
     field = GF(gfile.q)
     vectors = vectors_from_generator_file(gfile, flatten, chain_shape)
     return LinearCode(poset, _span(field, gfile.n, vectors))

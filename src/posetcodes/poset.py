@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from heapq import nsmallest
-from itertools import combinations, count
+from functools import partial
+from itertools import count
 from pathlib import Path
 
 from .errors import CycleError, EmptyInputError, InputError, RangeError
@@ -120,9 +121,13 @@ class Poset:
         return frozenset(i + 1 for i in _bits(self.ideal_mask(mask)))
 
     def is_total_on(self, subset) -> bool:
-        """True iff every pair of elements of the subset is comparable."""
-        els = [self._check_element(e) for e in subset]
-        return all(self.comparable(a, b) for a, b in combinations(els, 2))
+        """True iff every pair of elements of the subset is comparable: the
+        subset lies inside the down-set or the up-set of each member."""
+        mask = 0
+        for e in subset:
+            mask |= 1 << (self._check_element(e) - 1)
+        down, up = self._down, self._up
+        return all(not mask & ~(down[i] | up[i]) for i in _bits(mask))
 
     def is_antichain(self) -> bool:
         return all(m == 1 << i for i, m in enumerate(self._down))
@@ -357,6 +362,13 @@ _CONSTRUCTOR_KEYS = ("covers", "weak_order", "chain", "antichain", "disjoint_cha
 
 def poset_from_dict(obj) -> Poset:
     """Build a poset from its JSON description (exactly one constructor key)."""
+    _, build = poset_builder(obj)
+    return build()
+
+
+def poset_builder(obj):
+    """Check a poset description without building its order: return the
+    ground-set size it declares and a call that builds the poset."""
     if not isinstance(obj, dict):
         raise InputError(f"poset description must be an object, got {type(obj).__name__}")
     present = [k for k in _CONSTRUCTOR_KEYS if k in obj]
@@ -377,19 +389,19 @@ def poset_from_dict(obj) -> Poset:
             not isinstance(c, list) or len(c) != 2 for c in covers
         ):
             raise InputError('"covers" must be a list of [a, b] pairs')
-        return from_cover_relations(obj["n"], [tuple(c) for c in covers])
+        return obj["n"], partial(from_cover_relations, obj["n"], [tuple(c) for c in covers])
     if key == "weak_order":
         if not isinstance(obj[key], list) or not all(map(_is_int, obj[key])):
             raise InputError('"weak_order" must be a list of integer block sizes')
-        return weak_order(obj[key])
+        return sum(obj[key]), partial(weak_order, obj[key])
     if key == "chain":
         if not _is_int(obj[key]):
             raise InputError('"chain" must be an integer')
-        return chain(obj[key])
+        return obj[key], partial(chain, obj[key])
     if key == "antichain":
         if not _is_int(obj[key]):
             raise InputError('"antichain" must be an integer')
-        return antichain(obj[key])
+        return obj[key], partial(antichain, obj[key])
     params = obj["disjoint_chains"]
     if (
         not isinstance(params, dict)
@@ -397,7 +409,8 @@ def poset_from_dict(obj) -> Poset:
         or not all(_is_int(params[f]) for f in ("length", "count"))
     ):
         raise InputError('"disjoint_chains" must be {"length": int, "count": int}')
-    return disjoint_chains(params["length"], params["count"])
+    size = params["length"] * params["count"]
+    return size, partial(disjoint_chains, params["length"], params["count"])
 
 
 def _read_json(path):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .codes import (
     Flag,
@@ -58,73 +59,72 @@ def describe_code(code: LinearCode) -> str:
     )
 
 
-def support_union_hierarchy(s: Subspace, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Classical generalized-weight hierarchy: minimum size of the support
-    union over r-dimensional subspaces, with no ideal closure involved.
-    Independent oracle for the antichain reduction."""
-    out = []
+def _least_weight_subspaces(s: Subspace, weight, budget):
+    """The least ``weight`` of the r-dimensional subspaces of ``s`` for each
+    r = 1..dim, and the subspaces of that weight in enumeration order;
+    ``budget`` caps each r separately."""
+    least, achievers = [], []
     for r in range(1, s.dim + 1):
-        best = None
-        for d in enumerate_subspaces(s, r, budget):
-            size = len(frozenset().union(*map(support_of_vector, d.basis)))
-            if best is None or size < best:
-                best = size
-        out.append(best)
-    return tuple(out)
-
-
-def exhaustive_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
-    """Weight hierarchy by enumerating the r-dimensional subcodes for every
-    r; ``budget`` caps each r separately."""
-    values = []
-    for r in range(1, c.k + 1):
         try:
-            subs = enumerate_subspaces(c.subspace, r, budget)
+            subs = enumerate_subspaces(s, r, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(
                 f"hierarchy dimension {r}: {exc}", count=exc.count, budget=exc.budget, r=r
             ) from None
-        values.append(min(generalized_weight(c.poset, d) for d in subs))
-    hier = tuple(values)
+        best, kept = None, []
+        for d in subs:
+            w = weight(d)
+            if best is None or w < best:
+                best, kept = w, [d]
+            elif w == best:
+                kept.append(d)
+        least.append(best)
+        achievers.append(kept)
+    return tuple(least), achievers
+
+
+def support_union_hierarchy(s: Subspace, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Classical generalized-weight hierarchy: minimum size of the support
+    union over r-dimensional subspaces, with no ideal closure involved.
+    Independent oracle for the antichain reduction."""
+    return _least_weight_subspaces(
+        s, lambda d: len(frozenset().union(*map(support_of_vector, d.basis))), budget
+    )[0]
+
+
+def _poset_achievers(c: LinearCode, budget):
+    """The weight hierarchy of ``c`` and the achievers of each dimension."""
+    weight = partial(generalized_weight, c.poset)
+    hier, achievers = _least_weight_subspaces(c.subspace, weight, budget)
     if not hierarchy_within_bounds(c.n, c.k, hier):
         raise AssertionError(f"computed hierarchy {hier} violates its invariants")
-    return hier
+    return hier, achievers
 
 
-def exhaustive_flags(
-    c: LinearCode, hierarchy, budget: int | None = DEFAULT_BUDGET
-) -> list[Flag]:
-    """Every maximal flag achieving ``hierarchy`` (the code's weight
-    hierarchy), by depth-first search over the achievers of each dimension
-    with nesting constraints, in subspace enumeration order.  Empty when the
-    chain condition fails."""
-    if c.k == 0:
-        return [Flag((), ())]
-    levels = [
-        [
-            d
-            for d in enumerate_subspaces(c.subspace, r, budget)
-            if generalized_weight(c.poset, d) == hierarchy[r - 1]
-        ]
-        for r in range(1, c.k + 1)
-    ]
-    weights = tuple(hierarchy)
-    found = []
-    stack = []
+def exhaustive_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
+    """Weight hierarchy from the subcodes of every dimension; ``budget``
+    caps each dimension separately."""
+    return _poset_achievers(c, budget)[0]
 
-    def walk(level):
-        for d in levels[level]:
-            if stack and not is_subspace_of(stack[-1], d):
-                continue
-            stack.append(d)
-            if level == c.k - 1:
-                found.append(Flag(tuple(stack), weights))
-            else:
-                walk(level + 1)
-            stack.pop()
 
-    walk(0)
-    return found
+def exhaustive_flags(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
+    """Every maximal flag achieving the weight hierarchy, in subspace
+    enumeration order; empty when the chain condition fails."""
+    return _maximal_flags(*_poset_achievers(c, budget))
+
+
+def _maximal_flags(hierarchy, achievers) -> list[Flag]:
+    """Depth-first search for nested achievers, each level in enumeration order."""
+
+    def extend(stack):
+        if len(stack) == len(achievers):
+            yield Flag(tuple(stack), hierarchy)
+            return
+        for d in achievers[len(stack)]:
+            if not stack or is_subspace_of(stack[-1], d):
+                yield from extend(stack + [d])
+
+    return list(extend([]))
 
 
 def greedy_flag(c: LinearCode) -> Flag:
@@ -150,13 +150,10 @@ def greedy_flag(c: LinearCode) -> Flag:
 
 def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expect=None):
     """All applicable invariants for one instance, from the exhaustive
-    oracles alone.
-
-    The hierarchy is computed once and the flag list at most once; the DFS
-    flag is the first flag of that list.
-    """
+    oracles alone.  Each dimension is enumerated once for the poset weight,
+    and the flags, when needed, come from the same achievers."""
     out = []
-    hier = exhaustive_hierarchy(code, budget)
+    hier, achievers = _poset_achievers(code, budget)
     out.append(
         CheckResult(
             "monotonicity_and_singleton",
@@ -179,9 +176,7 @@ def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expec
         )
     total = code.k > 0 and code.poset.is_total_on(support_of_code(code))
     expects_flags = expect is not None and ("chain_condition" in expect or "unique" in expect)
-    flags = None
-    if total or expects_flags:
-        flags = exhaustive_flags(code, hier, budget)
+    flags = _maximal_flags(hier, achievers) if total or expects_flags else None
     if total:
         greedy = greedy_flag(code)
         dfs = flags[0] if flags else None

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from posetcodes import GF, LinearCode, antichain, span, weak_order
+from posetcodes import GF, LinearCode, antichain, from_cover_relations, span, weak_order
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO = REPO_ROOT / "demo"
@@ -18,6 +18,21 @@ GENERATORS = (G1, G2, G3)
 EXPECTED_SUPPORT = frozenset({1, 4, 7, 11, 14, 17, 21, 24, 27})
 HIERARCHY_WEAK = (7, 19, 25)
 HIERARCHY_HAMMING = (3, 6, 9)
+
+
+def random_bipartite(rng, n):
+    """Some elements below the others, each such relation drawn with
+    probability 1/2, under shuffled labels: posets of height at most 2 whose
+    maximal and minimal elements are both many."""
+    label = rng.sample(range(1, n + 1), n)
+    low = rng.randint(1, n)
+    covers = [
+        (label[i], label[j])
+        for i in range(low)
+        for j in range(low, n)
+        if rng.random() < 0.5
+    ]
+    return from_cover_relations(n, covers)
 
 
 @pytest.fixture(scope="session")

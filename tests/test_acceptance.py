@@ -37,7 +37,7 @@ from posetcodes.random_instances import (
     random_matrix,
     random_poset,
 )
-from posetcodes.verify import exhaustive_flags, exhaustive_hierarchy, greedy_flag
+from posetcodes.verify import exhaustive_flags, greedy_flag
 from conftest import EXPECTED_SUPPORT, GENERATORS
 
 
@@ -117,7 +117,7 @@ def test_criterion_3_totally_ordered_support_suite():
             p = random_poset(rng, family, n)
             code = random_chain_supported_code(rng, GF(q), p)
             assert code.poset.is_total_on(support_of_code(code))
-            flags = exhaustive_flags(code, exhaustive_hierarchy(code))
+            flags = exhaustive_flags(code)
             dfs = flags[0] if flags else None
             if dfs is None or greedy_flag(code) != dfs or not is_flag_unique(code):
                 failures += 1

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -343,6 +344,25 @@ def test_budget_errors_name_counts_past_the_digit_limit(capsys, tmp_path, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert max(map(len, err.split())) > 4300
+
+
+@pytest.mark.parametrize("poset", ('{"chain": 20000}', '{"antichain": 20000}'))
+@pytest.mark.parametrize("command", ("hierarchy", "chain", "flag", "verify"))
+def test_size_mismatch_is_found_before_the_order_masks(capsys, tmp_path, poset, command):
+    # 20,000 elements would take about 2 * 20000^2 bits of masks
+    path = tmp_path / "poset.json"
+    path.write_text(poset)
+    tracemalloc.start()
+    try:
+        status = main([command, "--poset", str(path), "--code", str(CODE27)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert status == 2
+    assert err.count("\n") == 1
+    assert err.endswith("code length 27 does not match poset size 20000\n")
+    assert peak < 5_000_000
 
 
 def test_console_entry_point_via_module():

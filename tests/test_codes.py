@@ -213,7 +213,7 @@ class TestMaximalFlag:
         assert flag.subspaces[2] == code_weak.subspace
 
     def test_greedy_and_dfs_agree_on_demo(self, code_weak):
-        dfs = exhaustive_flags(code_weak, HIERARCHY_WEAK)[0]
+        dfs = exhaustive_flags(code_weak)[0]
         assert greedy_flag(code_weak) == dfs == find_maximal_flag(code_weak)
 
     def test_greedy_requires_total_order(self, code_hamming):
@@ -238,7 +238,7 @@ class TestFlagUniqueness:
     def test_f2_squared_antichain_not_unique(self, f2):
         code = LinearCode(antichain(2), full_space(f2, 2))
         assert not is_flag_unique(code)
-        flags = exhaustive_flags(code, exhaustive_hierarchy(code))
+        flags = exhaustive_flags(code)
         # two 1-dim achievers of d_1 = 1 (the third line has weight 2)
         assert len(flags) == 2
 
@@ -287,7 +287,7 @@ class TestTotallyOrderedSupport:
         p = random_poset(rng, rng.choice(("chain", "antichain", "weak_order", "random_cover")), n)
         code = random_chain_supported_code(rng, GF(q), p)
         assert code.poset.is_total_on(support_of_code(code))
-        flags = exhaustive_flags(code, exhaustive_hierarchy(code))
+        flags = exhaustive_flags(code)
         assert len(flags) == 1
         assert greedy_flag(code) == flags[0] == find_maximal_flag(code)
         assert is_flag_unique(code)
@@ -324,7 +324,7 @@ class TestTotallyOrderedSupport:
                     if not p.is_total_on(support_of_code(code)):
                         continue
                     checked += 1
-                    flags = exhaustive_flags(code, exhaustive_hierarchy(code))
+                    flags = exhaustive_flags(code)
                     assert greedy_flag(code) == flags[0] == find_maximal_flag(code)
                     assert len(flags) == 1 and is_flag_unique(code)
         assert len(seen) == 219  # labeled posets on 4 elements

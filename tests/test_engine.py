@@ -16,10 +16,10 @@ from posetcodes import (
     ChainConditionUnsatisfied,
     Flag,
     LinearCode,
+    Poset,
     chain,
     antichain,
     find_maximal_flag,
-    from_cover_relations,
     is_flag_unique,
     span,
     weak_order,
@@ -41,7 +41,7 @@ from posetcodes.codes import (
 from posetcodes.linalg import _combine, _span
 from posetcodes.random_instances import POSET_FAMILIES, random_code, random_poset
 from posetcodes.verify import exhaustive_flags, exhaustive_hierarchy
-from conftest import HIERARCHY_HAMMING
+from conftest import DEMO, HIERARCHY_HAMMING, HIERARCHY_WEAK, random_bipartite
 
 # q -> (instances, largest k).  The larger fields get fewer and smaller codes:
 # the oracles enumerate all [k r]_q subcodes, which grows like q^(r(k - r)).
@@ -76,7 +76,7 @@ def test_both_level_builders_match_the_oracles(family, q):
         codes.append(LinearCode(antichain(n), span(GF(q), n, FLAGLESS[q])))
     for code in codes:
         hierarchy = exhaustive_hierarchy(code)
-        flags = exhaustive_flags(code, hierarchy)
+        flags = exhaustive_flags(code)
         first = flags[0] if flags else None
         top = code.poset.ideal_mask(_code_support_mask(code))
         # S has at most 2^n ideals, so this record is never capped
@@ -190,6 +190,21 @@ def test_one_walk_per_analysis(monkeypatch, f2):
         assert recorded == [ideal_path]
 
 
+def test_the_hierarchy_alone_counts_no_chains(monkeypatch, capsys, code_weak, code_hamming):
+    def refuse(levels):
+        raise AssertionError("the chain counts were built")
+
+    monkeypatch.setattr(codes, "_count_chains", refuse)
+    assert weight_hierarchy(code_weak) == HIERARCHY_WEAK
+    assert weight_hierarchy(code_hamming) == HIERARCHY_HAMMING
+    code = str(DEMO / "code_27_3.txt")
+    for poset in ("weak_order_9x3.json", "antichain_27.json"):
+        assert main(["hierarchy", "--poset", str(DEMO / poset), "--code", code]) == 0
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="chain counts"):
+        analyze_code(code_weak).flag_count
+
+
 def test_walk_record_costs_a_few_bytes_per_ideal():
     p = weak_order([16])  # an antichain: all 2^16 subsets are ideals
     tracemalloc.start()
@@ -274,21 +289,6 @@ def _all_pairs_walk(p, top, limit):
             if not above[j] & ideal:
                 stack.append((depth + 1, ideal ^ bit[j], j, order[j]))
     return depths, removed
-
-
-def random_bipartite(rng, n):
-    """Some elements below the others, each such relation drawn with
-    probability 1/2, under shuffled labels: posets of height at most 2 whose
-    maximal and minimal elements are both many."""
-    label = rng.sample(range(1, n + 1), n)
-    low = rng.randint(1, n)
-    covers = [
-        (label[i], label[j])
-        for i in range(low)
-        for j in range(low, n)
-        if rng.random() < 0.5
-    ]
-    return from_cover_relations(n, covers)
 
 
 def _walk_cases(name, count, max_n):
@@ -439,3 +439,71 @@ def test_subcode_levels_match_the_combined_rows_at_workload_scale(q):
             code = sparse_code(rng, field, p, k, rng.choice((0.15, 0.3, 0.6)))
             where = f"{family} q={q} n={n} basis={code.subspace.basis}"
             assert _subcode_levels(code) == _combined_subcode_levels(code), where
+
+
+# -- Wei duality ---------------------------------------------------------------------
+#
+# Moura and Firer ("Duality for poset codes", IEEE Trans. Inf. Theory 56(7),
+# 2010): the values d_r(C; P) and n + 1 - d_s(C⊥; P̄), with P̄ the reversed
+# poset, partition {1, .., n}.  The engine answers both sides, at sizes the
+# exhaustive oracles cannot reach.
+
+
+def dual_code(c):
+    """C⊥ under the reversed poset, whose down-sets are the up-sets of P:
+    the kernel of the RREF generator matrix, one vector per free column."""
+    field, n, basis = c.field, c.n, c.subspace.basis
+    pivots = [next(j for j, e in enumerate(row) if e) for row in basis]
+    rows = []
+    for f in range(n):
+        if f not in pivots:
+            y = [0] * n
+            y[f] = 1
+            for row, p in zip(basis, pivots):
+                y[p] = field.neg(row[f])
+            rows.append(y)
+    return LinearCode(Poset(n, c.poset._up), span(field, n, rows))
+
+
+def _wei_cases():
+    """(code, whether C takes the ideal path): low-rate codes on wide posets,
+    whose duals take the ideal path, then codes of any rate on posets with
+    few ideals, where both sides do."""
+    rng = random.Random("wei")
+    for q in (2, 3):
+        for family in ("antichain", "bipartite"):
+            for k in (2, 3):
+                n = rng.randint(14, 16)
+                p = antichain(n) if family == "antichain" else random_bipartite(rng, n)
+                yield random_code(rng, GF(q), p, k), False
+        for family in ("chain", "near_chain", "weak_order"):
+            n = rng.randint(30, 40)
+            if family == "chain":
+                p = chain(n)
+            else:
+                sizes = []
+                while sum(sizes) < n:
+                    sizes.append(rng.randint(1, 2 if family == "near_chain" else 3))
+                p = weak_order(sizes)
+            yield random_code(rng, GF(q), p, rng.randint(n // 4, 3 * n // 4)), True
+
+
+def test_wei_duality_across_both_paths(monkeypatch):
+    walk = codes._ideal_walk
+    walked = []
+
+    def recorded(*args):
+        record = walk(*args)
+        walked.append(record is not None)
+        return record
+
+    monkeypatch.setattr(codes, "_ideal_walk", recorded)
+    for code, ideal_path in _wei_cases():
+        dual = dual_code(code)
+        n = code.n
+        where = f"q={code.field.q} n={n} k={code.k} covers={code.poset.covers()}"
+        assert dual.k == n - code.k, where
+        walked.clear()
+        values = [*weight_hierarchy(code), *(n + 1 - d for d in weight_hierarchy(dual))]
+        assert walked == [ideal_path, True], where
+        assert sorted(values) == list(range(1, n + 1)), where

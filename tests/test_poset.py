@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,9 @@ from posetcodes import (
     poset_from_dict,
     weak_order,
 )
-from posetcodes.random_instances import POSET_FAMILIES, random_poset
+from posetcodes.poset import poset_builder
+from posetcodes.random_instances import POSET_FAMILIES, random_maximal_chain, random_poset
+from conftest import random_bipartite
 
 
 def brute_force_width(p):
@@ -313,6 +316,39 @@ class TestTotalOrder:
         assert p.is_total_on(set())
         assert p.is_total_on({3})
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_pairwise_definition(self, seed):
+        # subsets of a maximal chain (total) and arbitrary ones, duplicates
+        # and the empty subset included
+        rng = random.Random(f"total:{seed}")
+        for family in (*POSET_FAMILIES, "bipartite"):
+            for _ in range(10):
+                n = rng.randint(1, 12)
+                if family == "bipartite":
+                    p = random_bipartite(rng, n)
+                else:
+                    p = random_poset(rng, family, n)
+                along = random_maximal_chain(rng, p)
+                for _ in range(8):
+                    pool = along if rng.random() < 0.5 else p.elements
+                    subset = [rng.choice(pool) for _ in range(rng.randint(0, n))]
+                    pairwise = all(p.comparable(a, b) for a, b in combinations(subset, 2))
+                    assert p.is_total_on(subset) == pairwise, (p, subset)
+
+    def test_elements_outside_the_ground_set(self):
+        p = chain(3)
+        for bad in (0, 4, -1, "1"):
+            with pytest.raises(RangeError):
+                p.is_total_on([1, bad])
+
+    def test_a_long_chain_in_linear_mask_work(self):
+        # booleans only: a failing assert would render the posets by their covers
+        start = time.perf_counter()
+        total = chain(4000).is_total_on(range(1, 4001))
+        split = disjoint_chains(2000, 2).is_total_on(range(1, 4001))
+        assert total and not split
+        assert time.perf_counter() - start < 1.0
+
 
 class TestWidthAndPartition:
     def test_chain(self):
@@ -414,6 +450,19 @@ class TestDescriptionFormat:
         assert poset_from_dict(
             {"disjoint_chains": {"length": 2, "count": 3}}
         ) == disjoint_chains(2, 3)
+
+    def test_declared_size_without_building(self):
+        for obj in (
+            {"n": 3, "covers": [[1, 2]]},
+            {"weak_order": [2, 1, 3]},
+            {"chain": 4},
+            {"antichain": 5},
+            {"disjoint_chains": {"length": 2, "count": 3}},
+        ):
+            size, build = poset_builder(obj)
+            assert size == build().n
+        # nothing is built until the call, however large the size
+        assert poset_builder({"antichain": 10**12})[0] == 10**12
 
     def test_exactly_one_key(self):
         with pytest.raises(InputError):

@@ -2,11 +2,11 @@ import random
 
 from posetcodes import GF, LinearCode, antichain, chain, full_space, span, weight_hierarchy
 from posetcodes import codes, verify
+from posetcodes.linalg import enumerate_subspaces
 from posetcodes.random_instances import random_code
 from posetcodes.verify import (
     batch_checks,
     describe_code,
-    exhaustive_hierarchy,
     instance_checks,
     support_union_hierarchy,
 )
@@ -60,13 +60,14 @@ def test_describe_code_is_reproducible(f2):
 
 
 def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
+    # one enumeration per dimension serves the hierarchy and the flags
     calls = []
 
-    def counted(c, budget=None):
-        calls.append(c)
-        return exhaustive_hierarchy(c, budget)
+    def counted(s, r, budget=None):
+        calls.append(r)
+        return enumerate_subspaces(s, r, budget)
 
-    monkeypatch.setattr(verify, "exhaustive_hierarchy", counted)
+    monkeypatch.setattr(verify, "enumerate_subspaces", counted)
     expect = {"hierarchy": [7, 19, 25], "chain_condition": True, "unique": True}
     chain_code = LinearCode(chain(4), span(f2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
     for code, exp in ((code_weak, expect), (code_weak, None), (chain_code, {"unique": True})):
@@ -74,7 +75,7 @@ def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
         results = instance_checks(code, expect=exp)
         assert all(r.ok for r in results), results
         assert "greedy_matches_dfs" in {r.name for r in results}
-        assert len(calls) == 1
+        assert calls == list(range(1, code.k + 1))
 
 
 def test_checks_never_ask_the_engine(monkeypatch, code_weak, code_hamming):
