@@ -230,10 +230,21 @@ def _insert(field: FiniteField, basis, v):
 
 def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k (ideals as bitmasks) from the walk record of the ideals
-    inside ``top`` = closure(supp C); m(I) = k - rank of the generator columns
-    outside I, with one column inserted per lattice edge."""
-    field, k = c.field, c.k
+    inside ``top`` = closure(supp C)."""
     columns = [tuple(row[j] for row in c.subspace.basis) for j in range(c.n)]
+    return _replay_levels(c.field, c.k, columns, top, walk)
+
+
+def _replay_levels(field: FiniteField, k: int, columns, top: int, walk):
+    """Levels L_1..L_k of the code whose generator has the given ``columns``
+    (length-k tuples, one per coordinate), from the walk record of the ideals
+    inside ``top``; m(I) = k - rank of the columns outside I, with one column
+    inserted per lattice edge.
+
+    ``top`` may be any ideal containing closure(supp C): an ideal I outside
+    S = closure(supp C) has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is
+    never a least ideal of its m and joins no level.
+    """
     ideals = [top] * (top.bit_count() + 1)
     bases = [()] * (top.bit_count() + 1)
     best = [None] * (k + 1)

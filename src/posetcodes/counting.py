@@ -13,10 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .codes import LinearCode, analyze_code
-from .errors import BudgetExceeded, InputError, RangeError, count_text
+from .codes import LinearCode, _count_chains, _ideal_walk, _replay_levels, analyze_code
+from .errors import BudgetExceeded, InputError, RangeError
 from .gf import GF, _factor_prime_power
-from .linalg import DEFAULT_BUDGET, _gaussian_prefix, enumerate_subspaces, full_space, gaussian_row
+from .linalg import (
+    DEFAULT_BUDGET,
+    Subspace,
+    _gaussian_prefix,
+    _rref_canonical_forms,
+    gaussian_row,
+)
 from .poset import ChainPartition, Poset, _is_int, _read_json
 
 
@@ -56,13 +62,28 @@ class CensusReport:
     chain_condition_total: int
 
 
+# Replaying the shared record costs each code about 0.6 µs per ideal of P.
+# The per-code path pays a fixed set-up on top of the walk of its own ideals
+# (the code object, the closure of its support, the subcode count): about
+# 10 µs, the cost of replaying SHARED_SLACK ideals.  Measured per code with
+# Python 3.11 on a shared 2-vCPU VM, shared vs per code: chain(6) at q = 3,
+# r = 2: 11.2 vs 43.0 µs; a 5-element height-2 poset with 15 ideals at q = 2,
+# r = 3: 37.8 vs 55.3 µs; antichain(7) (128 ideals) at q = 2: r = 1 82 vs
+# 19 µs, r = 4 379 vs 257 µs, r = 5 249 vs 315 µs.
+SHARED_SLACK = 16
+
+
 def census(
     p: Poset, q: int, max_dim: int | None = None, budget: int | None = DEFAULT_BUDGET
 ) -> CensusReport:
     """Run the chain-condition check on every nonzero subspace up to max_dim.
 
     Subspaces come from the canonical enumeration, so each code is counted
-    exactly once.
+    exactly once.  The ideals of P are walked once, and a code counts when
+    its levels have a chain.  Dimension r replays that record for each of
+    its codes when P has at most sum_j [r j]_q + SHARED_SLACK ideals
+    (sum_j [r j]_q bounds the ideals each code would walk on its own), and
+    otherwise analyzes each code on its own.
     """
     n = p.n
     if max_dim is None:
@@ -70,23 +91,31 @@ def census(
     if not 0 <= max_dim <= n:
         raise RangeError(f"max_dim {max_dim} outside 0..{n}")
     field = GF(q)
-    total = sum(islice(_gaussian_prefix(n, q), 1, max_dim + 1))
-    if budget is not None and total > budget:
-        raise BudgetExceeded(
-            f"census over {count_text(total)} subspaces exceeds the budget {budget}",
-            count=total,
-            budget=budget,
-        )
-    ambient = full_space(field, n)
-    per_total, per_chain = [], []
-    for r in range(1, max_dim + 1):
-        seen = 0
-        satisfied = 0
-        for d in enumerate_subspaces(ambient, r, budget):
-            seen += 1
-            if analyze_code(LinearCode(p, d), budget).flag_count:
-                satisfied += 1
-        per_total.append(seen)
+    per_total, total = [], 0
+    for count in islice(_gaussian_prefix(n, q), 1, max_dim + 1):
+        per_total.append(count)
+        total += count
+        if budget is not None and total > budget:
+            # the full count can have far too many digits to compute or print
+            raise BudgetExceeded(
+                f"census over more than {budget} subspaces exceeds the budget {budget}",
+                count=total,
+                budget=budget,
+            )
+    thresholds = [sum(gaussian_row(r, q)[1:]) + SHARED_SLACK for r in range(1, max_dim + 1)]
+    full = (1 << n) - 1
+    walk = _ideal_walk(p, full, min(total, thresholds[-1]) if thresholds else 0)
+    per_chain = []
+    for r, threshold in zip(range(1, max_dim + 1), thresholds):
+        forms = _rref_canonical_forms(field, r, n)
+        if walk is not None and len(walk[0]) <= threshold:
+            satisfied = sum(
+                bool(_count_chains(_replay_levels(field, r, list(zip(*form)), full, walk))[0])
+                for form in forms
+            )
+        else:
+            codes = (LinearCode(p, Subspace._trusted(field, n, form)) for form in forms)
+            satisfied = sum(bool(analyze_code(c, budget).flag_count) for c in codes)
         per_chain.append(satisfied)
     return CensusReport(
         poset=p,

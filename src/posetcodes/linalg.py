@@ -263,24 +263,34 @@ def _combine(field, coeff, basis, n):
 def _rref_canonical_forms(field, r, k):
     """All rank-r r-by-k RREF matrices: pivot-column sets in lexicographic
     order, free entries in odometer order over the field representatives
-    (last free position cycles fastest)."""
+    (last free position cycles fastest, rows in order).
+
+    For a fixed pivot set every row fills its free entries independently of
+    the other rows, so the forms are the product of one choice per row.  The
+    first row, which has the most free entries, is streamed; the choices of
+    the others are built once per pivot set.
+    """
     elems = tuple(field.elements())
     for pivots in combinations(range(k), r):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(r)
-            for j in range(pivots[i] + 1, k)
-            if j not in pivot_set
-        ]
-        base = [[0] * k for _ in range(r)]
-        for i, p in enumerate(pivots):
-            base[i][p] = 1
-        for values in product(elems, repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield tuple(tuple(row) for row in rows)
+        first, *rest = (
+            _row_choices(elems, k, p, [j for j in range(p + 1, k) if j not in pivots])
+            for p in pivots
+        )
+        rest = [tuple(choices) for choices in rest]
+        for row in first:
+            for others in product(*rest):
+                yield (row, *others)
+
+
+def _row_choices(elems, k, pivot, free):
+    """Length-k rows with 1 at ``pivot``, every value at the ``free``
+    positions (last cycling fastest) and 0 elsewhere."""
+    row = [0] * k
+    row[pivot] = 1
+    for values in product(elems, repeat=len(free)):
+        for j, v in zip(free, values):
+            row[j] = v
+        yield tuple(row)
 
 
 def enumerate_subspaces(ambient: Subspace, r: int, budget: int | None = DEFAULT_BUDGET):
@@ -309,12 +319,15 @@ def _iter_subspaces(ambient, r):
     if r == 0:
         yield Subspace._trusted(field, n, ())
         return
-    is_identity = ambient.dim == n and ambient.basis == _identity_rows(n)
+    basis = ambient.basis
+    is_identity = ambient.dim == n and basis == _identity_rows(n)
+    # an RREF coefficient form times an RREF basis is in RREF: each row is
+    # 1 at the ambient pivot of its own pivot, 0 before it and 0 at the
+    # ambient pivots of the other rows' pivots
     for coeff in _rref_canonical_forms(field, r, ambient.dim):
-        if is_identity:
-            yield Subspace._trusted(field, n, coeff)
-        else:
-            yield _span(field, n, [_combine(field, c, ambient.basis, n) for c in coeff])
+        if not is_identity:
+            coeff = tuple(_combine(field, c, basis, n) for c in coeff)
+        yield Subspace._trusted(field, n, coeff)
 
 
 def enumerate_nonzero_codewords(s: Subspace, budget: int | None = DEFAULT_BUDGET):

@@ -133,13 +133,14 @@ class Poset:
         return all(m == 1 << i for i, m in enumerate(self._down))
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover pairs (a, b): a < b with nothing strictly between."""
+        """Cover pairs (a, b): a < b with nothing strictly between, that is,
+        a is the only element of b's strict down-set above or equal to a."""
+        up = self._up
         out = []
-        for b in range(self.n):
-            below = self._down[b] & ~(1 << b)
+        for b, down in enumerate(self._down):
+            below = down ^ (1 << b)
             for a in _bits(below):
-                between = below & ~(1 << a)
-                if not any((self._down[c] >> a) & 1 for c in _bits(between)):
+                if below & up[a] == 1 << a:
                     out.append((a + 1, b + 1))
         return out
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -336,14 +337,24 @@ def test_budget_errors_name_counts_past_the_digit_limit(capsys, tmp_path, comman
     code = tmp_path / "code.txt"
     rows = [" ".join("1" if j == i else "0" for j in range(n)) for i in range(n)]
     code.write_text("\n".join([f"2 {n} {n}", *rows]) + "\n")
+    # census stops at the first partial count past the budget and names the
+    # budget alone: [1500 1]_2 has 452 digits, the full count over 169,000
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"antichain": 1500}))
     argv = {
-        "census": ["census", "--poset", poset, "--q", "2"],
+        "census": ["census", "--poset", wide, "--q", "2", "--budget", "2000"],
         "hierarchy": ["hierarchy", "--poset", poset, "--code", code],
     }[command]
+    start = time.perf_counter()
     assert main([str(a) for a in argv]) == 3
+    elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert max(map(len, err.split())) > 4300
+    if command == "census":
+        assert err == "error: census over more than 2000 subspaces exceeds the budget 2000\n"
+        assert elapsed < 1.0
+    else:
+        assert max(map(len, err.split())) > 4300
 
 
 @pytest.mark.parametrize("poset", ('{"chain": 20000}', '{"antichain": 20000}'))

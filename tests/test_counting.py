@@ -1,18 +1,31 @@
+import random
+from itertools import combinations
+from types import SimpleNamespace
+
 import pytest
 
 from posetcodes import (
+    GF,
     BudgetExceeded,
     ChainPartition,
     InputError,
+    LinearCode,
     RangeError,
     antichain,
     census,
     chain,
     chain_condition_lower_bound,
+    enumerate_subspaces,
+    from_cover_relations,
+    full_space,
     gaussian_binomial,
     partition_from_dict,
     weak_order,
 )
+from posetcodes import counting
+from posetcodes.codes import _ideal_walk, analyze_code
+from posetcodes.random_instances import POSET_FAMILIES, random_poset
+from conftest import random_bipartite
 
 
 def minimal_partition(p):
@@ -102,11 +115,114 @@ class TestCensus:
         with pytest.raises(BudgetExceeded):
             census(antichain(10), 2, budget=100)
 
+    def test_budget_stops_at_the_first_partial_sum_past_it(self):
+        # chain(3) at q = 2 has 7 + 7 + 1 = 15 nonzero subspaces
+        assert census(chain(3), 2, budget=15).chain_condition_total == 15
+        message = "^census over more than 14 subspaces exceeds the budget 14$"
+        with pytest.raises(BudgetExceeded, match=message) as exc:
+            census(chain(3), 2, budget=14)
+        assert exc.value.count == 15
+        with pytest.raises(BudgetExceeded) as exc:
+            census(chain(3), 2, budget=6)
+        assert exc.value.count == 7
+
     def test_minimal_partition_width_remark(self):
         # with the minimal partition, the number of chains equals the width
         for p in (chain(4), antichain(4), weak_order([3, 2])):
             width, part = p.width_and_min_chain_partition()
             assert len(part.chains) == width
+
+
+def census_per_code(p, q, max_dim):
+    """Per-dimension (codes, chain-condition codes) with every code analyzed
+    on its own: the former census loop (oracle)."""
+    ambient = full_space(GF(q), p.n)
+    per_total, per_chain = [], []
+    for r in range(1, max_dim + 1):
+        seen = 0
+        satisfied = 0
+        for d in enumerate_subspaces(ambient, r, None):
+            seen += 1
+            if analyze_code(LinearCode(p, d), None).flag_count:
+                satisfied += 1
+        per_total.append(seen)
+        per_chain.append(satisfied)
+    return tuple(per_total), tuple(per_chain)
+
+
+def ideal_count(p):
+    return len(_ideal_walk(p, (1 << p.n) - 1, 1 << p.n)[0])
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The dimensions of the codes that replay census's shared record, one
+    entry per code."""
+    dims = []
+    replay = counting._replay_levels
+
+    def counted(field, k, columns, top, walk):
+        dims.append(k)
+        return replay(field, k, columns, top, walk)
+
+    monkeypatch.setattr(counting, "_replay_levels", counted)
+    return dims
+
+
+class TestSharedLattice:
+    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    @pytest.mark.parametrize("family", (*POSET_FAMILIES, "bipartite"))
+    def test_matches_the_per_code_census(self, family, q):
+        rng = random.Random(f"census:{family}:{q}")
+        for _ in range(4):
+            n = rng.randint(1, 6)
+            if family == "bipartite":
+                p = random_bipartite(rng, n)
+            else:
+                p = random_poset(rng, family, n)
+            max_dim = rng.choice((n, 1, max(n - 2, 0)))
+            # at most 3,000 codes, so the oracle stays quick
+            while sum(gaussian_binomial(n, r, q) for r in range(1, max_dim + 1)) > 3000:
+                max_dim -= 1
+            rep = census(p, q, max_dim, budget=None)
+            where = f"{family} q={q} n={n} max_dim={max_dim} covers={p.covers()}"
+            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, max_dim), where
+
+    def test_wide_posets_at_low_dimension_analyze_each_code(self, replays, monkeypatch):
+        rep = census(antichain(12), 2, max_dim=1)
+        assert rep.per_dim_chain == (4095,)
+        assert replays == []
+        # each code of antichain(7) at r <= 4 walks at most sum_j [r j]_2 <= 66
+        # ideals on its own, against the 128 of the shared record; a stub
+        # stands in for the 26,416 analyses
+        analyzed = []
+
+        def stub(c, budget):
+            analyzed.append(c.k)
+            return SimpleNamespace(flag_count=1)
+
+        monkeypatch.setattr(counting, "analyze_code", stub)
+        rep = census(antichain(7), 2, max_dim=4)
+        assert replays == []
+        assert len(analyzed) == sum(rep.per_dim_total) == 26_416
+        assert rep.per_dim_chain == rep.per_dim_total
+
+    @pytest.mark.parametrize(
+        "n, bottom, relations, q", ((4, 2, 2, 3), (4, 2, 2, 4), (5, 2, 3, 2))
+    )
+    def test_small_posets_replay_the_shared_record(self, replays, n, bottom, relations, q):
+        grid = [(a, b) for a in range(1, bottom + 1) for b in range(bottom + 1, n + 1)]
+        for covers in combinations(grid, relations):
+            p = from_cover_relations(n, covers)
+            replays.clear()
+            rep = census(p, q)
+            # r = 1 shares up to 1 + 16 ideals, and r >= 2 up to 4 + 16 or more
+            ideals = ideal_count(p)
+            first = 1 if ideals <= 17 else 2
+            assert sorted(set(replays)) == list(range(first, n + 1)), covers
+            assert len(replays) == sum(rep.per_dim_total[first - 1 :])
+            # only one bottom element below all three tops gives 1 + 8 + 1 + 8
+            assert ideals <= 17 or covers in (((1, 3), (1, 4), (1, 5)), ((2, 3), (2, 4), (2, 5)))
 
 
 class TestPartitionFormat:

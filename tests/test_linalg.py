@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +26,7 @@ from posetcodes import (
     span,
     zero_subspace,
 )
+from posetcodes.linalg import _combine, _iter_subspaces, _rref_canonical_forms, _span
 from conftest import GENERATORS
 
 
@@ -36,6 +38,28 @@ def gb_oracle(n, r, q):
     if r == 0 or r == n:
         return 1
     return gb_oracle(n - 1, r - 1, q) + q**r * gb_oracle(n - 1, r, q)
+
+
+def canonical_forms_by_odometer(field, r, k):
+    """All rank-r r-by-k RREF matrices from one odometer over every free
+    entry of the form, rows in order: the former enumeration (order oracle)."""
+    elems = tuple(field.elements())
+    for pivots in combinations(range(k), r):
+        pivot_set = set(pivots)
+        free = [
+            (i, j)
+            for i in range(r)
+            for j in range(pivots[i] + 1, k)
+            if j not in pivot_set
+        ]
+        base = [[0] * k for _ in range(r)]
+        for i, p in enumerate(pivots):
+            base[i][p] = 1
+        for values in product(elems, repeat=len(free)):
+            rows = [row[:] for row in base]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield tuple(tuple(row) for row in rows)
 
 
 class TestRref:
@@ -159,6 +183,30 @@ class TestEnumeration:
     def test_budget_guard(self, f2):
         with pytest.raises(BudgetExceeded):
             enumerate_subspaces(full_space(f2, 8), 4, budget=10)
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_forms_come_in_the_odometer_order(self, q):
+        f = GF(q)
+        for k in range(1, 7):
+            for r in range(1, k + 1):
+                if gaussian_binomial(k, r, q) <= 20_000:
+                    got = list(_rref_canonical_forms(f, r, k))
+                    assert got == list(canonical_forms_by_odometer(f, r, k)), (k, r)
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    def test_forms_times_an_rref_ambient_need_no_elimination(self, q):
+        f = GF(q)
+        rng = random.Random(f"ambient:{q}")
+        for _ in range(8):
+            n = rng.randint(1, 7)
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+            ambient = span(f, n, rows)
+            for r in range(1, ambient.dim + 1):
+                expected = [
+                    _span(f, n, [_combine(f, c, ambient.basis, n) for c in coeff])
+                    for coeff in _rref_canonical_forms(f, r, ambient.dim)
+                ]
+                assert list(_iter_subspaces(ambient, r)) == expected, (ambient.basis, r)
 
 
 class TestCodewordEnumeration:

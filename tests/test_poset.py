@@ -22,7 +22,7 @@ from posetcodes import (
     poset_from_dict,
     weak_order,
 )
-from posetcodes.poset import poset_builder
+from posetcodes.poset import _bits, poset_builder
 from posetcodes.random_instances import POSET_FAMILIES, random_maximal_chain, random_poset
 from conftest import random_bipartite
 
@@ -257,6 +257,51 @@ class TestConstructors:
     def test_disjoint_chains_ideal(self):
         p = disjoint_chains(3, 2)
         assert p.ideal({5}) == {4, 5}
+
+
+def covers_by_betweenness(p):
+    """Cover pairs by testing every element strictly between a and b: the
+    former ``Poset.covers``, cubic on a chain (oracle)."""
+    out = []
+    for b in range(p.n):
+        below = p._down[b] & ~(1 << b)
+        for a in _bits(below):
+            between = below & ~(1 << a)
+            if not any((p._down[c] >> a) & 1 for c in _bits(between)):
+                out.append((a + 1, b + 1))
+    return out
+
+
+class TestCovers:
+    @pytest.mark.parametrize("family", (*POSET_FAMILIES, "bipartite"))
+    def test_matches_the_betweenness_oracle(self, family):
+        rng = random.Random(f"covers:{family}")
+        for n in range(1, 31):
+            if family == "bipartite":
+                p = random_bipartite(rng, n)
+            else:
+                p = random_poset(rng, family, n)
+            # the families label upward; shuffled labels put elements
+            # between a and b on both sides of a's label
+            label = rng.sample(range(n), n)
+            down = [0] * n
+            for i, mask in enumerate(p._down):
+                down[label[i]] = sum(1 << label[j] for j in _bits(mask))
+            for poset in (p, Poset(n, down)):
+                assert poset.covers() == covers_by_betweenness(poset), (family, n)
+
+    def test_known_covers(self):
+        assert chain(3).covers() == [(1, 2), (2, 3)]
+        assert antichain(3).covers() == []
+        assert weak_order([2, 1, 2]).covers() == [(1, 3), (2, 3), (3, 4), (3, 5)]
+
+    def test_repr_of_a_long_chain(self):
+        # the betweenness test is cubic on a chain: 2000 elements took minutes
+        start = time.perf_counter()
+        text = repr(chain(2000))
+        assert time.perf_counter() - start < 5.0
+        assert text.startswith("Poset(n=2000, covers=[(1, 2), (2, 3), ")
+        assert text.endswith("(1999, 2000)])")
 
 
 class TestIdeal:
