@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .codes import _load_code, analyze_code, support_of_code
-from .counting import census, chain_condition_lower_bound, load_partition
+from .counting import _census_sizes, census, chain_condition_lower_bound, load_partition
 from .errors import BudgetExceeded, InputError
 from .linalg import DEFAULT_BUDGET
 from .poset import _is_int, _read_json, load_poset, poset_builder
@@ -246,7 +246,12 @@ def _cmd_bound(args):
 
 
 def _cmd_census(args):
-    poset = load_poset(args.poset)
+    size, build = poset_builder(_read_json(args.poset))
+    if size > 0:
+        # a poset holds about 2 n^2 bits of order masks, so the size checks
+        # come first; a non-positive size is left to the builder to report
+        _census_sizes(size, args.q, args.max_dim, args.budget)
+    poset = build()
     rep = census(poset, args.q, args.max_dim, args.budget)
     report = {
         "q": rep.q,

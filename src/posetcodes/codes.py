@@ -228,35 +228,44 @@ def _insert(field: FiniteField, basis, v):
     return basis
 
 
+def _walk_records(top: int, walk):
+    """The mask, size and parent index of every ideal of the walk record of
+    the ideals inside ``top``, and the element it removes from its parent."""
+    depths, removed = walk
+    masks, parents, last = [], [], [0] * (top.bit_count() + 1)
+    for i, (depth, e) in enumerate(zip(depths, removed)):
+        parent = last[depth - 1] if depth else 0
+        masks.append(masks[parent] ^ (1 << e) if depth else top)
+        parents.append(parent)
+        last[depth] = i
+    # each walk step removes one element of ``top``
+    return masks, [top.bit_count() - depth for depth in depths], parents, removed
+
+
 def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k (ideals as bitmasks) from the walk record of the ideals
-    inside ``top`` = closure(supp C)."""
+    inside ``top`` = closure(supp C); m(I) = k - rank of the generator
+    columns outside I, with one column inserted per lattice edge."""
+    field, k = c.field, c.k
     columns = [tuple(row[j] for row in c.subspace.basis) for j in range(c.n)]
-    return _replay_levels(c.field, c.k, columns, top, walk)
+    masks, sizes, parents, removed = _walk_records(top, walk)
+    bases = [()]
+    for parent, e in zip(parents[1:], removed[1:]):
+        bases.append(_insert(field, bases[parent], columns[e]))
+    return _least_ideals(k, masks, sizes, [k - len(basis) for basis in bases])
 
 
-def _replay_levels(field: FiniteField, k: int, columns, top: int, walk):
-    """Levels L_1..L_k of the code whose generator has the given ``columns``
-    (length-k tuples, one per coordinate), from the walk record of the ideals
-    inside ``top``; m(I) = k - rank of the columns outside I, with one column
-    inserted per lattice edge.
+def _least_ideals(k: int, ideals, sizes, ms) -> tuple[frozenset[int], ...]:
+    """Levels L_1..L_k from every ideal with its size and m(I): L_r is the set
+    of least ideals with m(I) = r (see the note above).
 
-    ``top`` may be any ideal containing closure(supp C): an ideal I outside
-    S = closure(supp C) has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is
+    The ideals may be those inside any ideal containing S = closure(supp C):
+    an ideal I outside S has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is
     never a least ideal of its m and joins no level.
     """
-    ideals = [top] * (top.bit_count() + 1)
-    bases = [()] * (top.bit_count() + 1)
     best = [None] * (k + 1)
     levels = [[] for _ in range(k + 1)]
-    for depth, e in zip(*walk):
-        if depth:
-            ideals[depth] = ideals[depth - 1] ^ (1 << e)
-            bases[depth] = _insert(field, bases[depth - 1], columns[e])
-        ideal = ideals[depth]
-        m = k - len(bases[depth])
-        size = ideal.bit_count()
-        # L_r is the set of least ideals with m(I) = r (see the note above)
+    for ideal, size, m in zip(ideals, sizes, ms):
         if best[m] is None or size < best[m]:
             best[m], levels[m] = size, [ideal]
         elif size == best[m]:

@@ -13,7 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .codes import LinearCode, _count_chains, _ideal_walk, _replay_levels, analyze_code
+from .codes import (
+    LinearCode,
+    _count_chains,
+    _ideal_walk,
+    _insert,
+    _least_ideals,
+    _walk_records,
+    analyze_code,
+)
 from .errors import BudgetExceeded, InputError, RangeError
 from .gf import GF, _factor_prime_power
 from .linalg import (
@@ -62,15 +70,41 @@ class CensusReport:
     chain_condition_total: int
 
 
-# Replaying the shared record costs each code about 0.6 µs per ideal of P.
-# The per-code path pays a fixed set-up on top of the walk of its own ideals
-# (the code object, the closure of its support, the subcode count): about
-# 10 µs, the cost of replaying SHARED_SLACK ideals.  Measured per code with
-# Python 3.11 on a shared 2-vCPU VM, shared vs per code: chain(6) at q = 3,
-# r = 2: 11.2 vs 43.0 µs; a 5-element height-2 poset with 15 ideals at q = 2,
-# r = 3: 37.8 vs 55.3 µs; antichain(7) (128 ideals) at q = 2: r = 1 82 vs
-# 19 µs, r = 4 379 vs 257 µs, r = 5 249 vs 315 µs.
+# SHARED_SLACK was set when replaying the shared record cost each code about
+# 0.6 µs per ideal of P, so that 16 ideals matched the fixed set-up of the
+# per-code path (the code object, the closure of its support, the subcode
+# count).  The replay now costs one table lookup per lattice edge and a
+# chain search per distinct m-profile: about 0.3-1 µs per ideal.  Measured
+# per code (best of 5, three runs) with Python 3.11 on a shared 2-vCPU VM,
+# shared vs per code: chain(6) at q = 3, r = 2: 2.2-3.6 vs 42-58 µs; a
+# 5-element height-2 poset with 15 ideals at q = 2, r = 3: 14-15 vs 89-92 µs;
+# antichain(7) (128 ideals) at q = 2: r = 1 34-57 vs 16-24 µs, r = 4 53-79
+# vs 204-267 µs, r = 5 75-99 vs 351-468 µs.  So the rule now sends some
+# dimensions (antichain(7) at r = 4) to the slower per-code path.
 SHARED_SLACK = 16
+
+
+def _census_sizes(n: int, q: int, max_dim: int | None, budget: int | None):
+    """The field and the subspace counts [n r]_q of the dimensions
+    r = 1..max_dim (default n), added up one dimension at a time: the first
+    partial sum past ``budget`` raises before the full count, which can have
+    far too many digits to compute or print, is reached."""
+    if max_dim is None:
+        max_dim = n
+    if not 0 <= max_dim <= n:
+        raise RangeError(f"max_dim {max_dim} outside 0..{n}")
+    field = GF(q)
+    per_total, total = [], 0
+    for count in islice(_gaussian_prefix(n, q), 1, max_dim + 1):
+        per_total.append(count)
+        total += count
+        if budget is not None and total > budget:
+            raise BudgetExceeded(
+                f"census over more than {budget} subspaces exceeds the budget {budget}",
+                count=total,
+                budget=budget,
+            )
+    return field, per_total
 
 
 def census(
@@ -86,33 +120,17 @@ def census(
     otherwise analyzes each code on its own.
     """
     n = p.n
-    if max_dim is None:
-        max_dim = n
-    if not 0 <= max_dim <= n:
-        raise RangeError(f"max_dim {max_dim} outside 0..{n}")
-    field = GF(q)
-    per_total, total = [], 0
-    for count in islice(_gaussian_prefix(n, q), 1, max_dim + 1):
-        per_total.append(count)
-        total += count
-        if budget is not None and total > budget:
-            # the full count can have far too many digits to compute or print
-            raise BudgetExceeded(
-                f"census over more than {budget} subspaces exceeds the budget {budget}",
-                count=total,
-                budget=budget,
-            )
+    field, per_total = _census_sizes(n, q, max_dim, budget)
+    max_dim = len(per_total)
     thresholds = [sum(gaussian_row(r, q)[1:]) + SHARED_SLACK for r in range(1, max_dim + 1)]
     full = (1 << n) - 1
-    walk = _ideal_walk(p, full, min(total, thresholds[-1]) if thresholds else 0)
+    walk = _ideal_walk(p, full, min(sum(per_total), thresholds[-1]) if thresholds else 0)
+    lattice = None if walk is None else _walk_records(full, walk)
     per_chain = []
     for r, threshold in zip(range(1, max_dim + 1), thresholds):
         forms = _rref_canonical_forms(field, r, n)
         if walk is not None and len(walk[0]) <= threshold:
-            satisfied = sum(
-                bool(_count_chains(_replay_levels(field, r, list(zip(*form)), full, walk))[0])
-                for form in forms
-            )
+            satisfied, _ = _shared_census(field, r, forms, lattice)
         else:
             codes = (LinearCode(p, Subspace._trusted(field, n, form)) for form in forms)
             satisfied = sum(bool(analyze_code(c, budget).flag_count) for c in codes)
@@ -126,6 +144,58 @@ def census(
         per_dim_chain=tuple(per_chain),
         chain_condition_total=sum(per_chain),
     )
+
+
+def _shared_census(field, r: int, forms, lattice) -> tuple[int, int]:
+    """How many of the r-row RREF ``forms`` have levels with a chain, from
+    the ``_walk_records`` of the whole poset, and how many states the replay
+    interned.
+
+    A state is the span of the columns outside an ideal, kept as its RREF
+    basis and interned to a small int, so there are at most sum_j [r j]_q of
+    them.  The state of an ideal follows from its parent's state and the
+    column of the removed element, so each code costs one lookup per lattice
+    edge, in a transition table filled by ``_insert`` on first use, and
+    m(I) = r - dim(state).  The masks and sizes are those of every code, so
+    the levels, and with them the verdict, depend only on the m-profile: the
+    chain search runs once per distinct profile.
+    """
+    masks, sizes, parents, removed = lattice
+    bases, index, ms = [()], {(): 0}, [r]  # state 0: no column outside the top
+    steps, verdicts = {}, {}  # (state, column) -> state, m-profile -> verdict
+
+    def advance(state, column):
+        basis = _insert(field, bases[state], column)
+        if len(basis) == len(bases[state]):  # the column is in the span
+            return state
+        # clear the new pivot from the other rows: the RREF names the span
+        p, row = basis[-1]
+        rows = [(j, field.axpy(x, x[p], row)) for j, x in basis[:-1]] + [(p, row)]
+        basis = tuple(sorted((j, tuple(x)) for j, x in rows))
+        if basis not in index:
+            index[basis] = len(bases)
+            bases.append(basis)
+            ms.append(r - len(basis))
+        return index[basis]
+
+    edges = list(zip(parents, removed))[1:]
+    satisfied = 0
+    for form in forms:
+        columns = list(zip(*form))
+        states = [0]
+        for parent, e in edges:
+            key = (states[parent], columns[e])
+            state = steps.get(key)
+            if state is None:
+                state = steps[key] = advance(*key)
+            states.append(state)
+        profile = bytes([ms[state] for state in states])
+        verdict = verdicts.get(profile)
+        if verdict is None:
+            levels = _least_ideals(r, masks, sizes, profile)
+            verdict = verdicts[profile] = bool(_count_chains(levels)[0])
+        satisfied += verdict
+    return satisfied, len(bases)
 
 
 # -- partition files ------------------------------------------------------------

@@ -376,6 +376,33 @@ def test_size_mismatch_is_found_before_the_order_masks(capsys, tmp_path, poset, 
     assert peak < 5_000_000
 
 
+@pytest.mark.parametrize("poset", ('{"chain": 20000}', '{"antichain": 20000}'))
+def test_census_budget_is_checked_before_the_order_masks(capsys, tmp_path, poset):
+    # [20000 1]_2 alone is past the default budget
+    path = tmp_path / "poset.json"
+    path.write_text(poset)
+    tracemalloc.start()
+    try:
+        status = main(["census", "--poset", str(path), "--q", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert status == 3
+    assert err == f"error: census over more than {2**24} subspaces exceeds the budget {2**24}\n"
+    assert peak < 5_000_000
+
+
+def test_census_reports_the_budget_before_a_cover_error(capsys, tmp_path):
+    path = tmp_path / "poset.json"
+    path.write_text('{"n": 2000, "covers": [[1, 2], [2, 1]]}')
+    assert main(["census", "--poset", str(path), "--q", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: census over more than")
+    # within the budget, the cycle is named as before
+    assert main(["census", "--poset", str(path), "--q", "2", "--max-dim", "0"]) == 2
+    assert "cycle" in capsys.readouterr().err
+
+
 def test_console_entry_point_via_module():
     proc = subprocess.run(
         [

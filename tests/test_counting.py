@@ -19,6 +19,7 @@ from posetcodes import (
     from_cover_relations,
     full_space,
     gaussian_binomial,
+    gaussian_row,
     partition_from_dict,
     weak_order,
 )
@@ -159,18 +160,24 @@ def replays(monkeypatch):
     """The dimensions of the codes that replay census's shared record, one
     entry per code."""
     dims = []
-    replay = counting._replay_levels
+    shared = counting._shared_census
 
-    def counted(field, k, columns, top, walk):
-        dims.append(k)
-        return replay(field, k, columns, top, walk)
+    def counted(field, r, forms, lattice):
+        def each():
+            for form in forms:
+                dims.append(r)
+                yield form
 
-    monkeypatch.setattr(counting, "_replay_levels", counted)
+        return shared(field, r, each(), lattice)
+
+    monkeypatch.setattr(counting, "_shared_census", counted)
     return dims
 
 
 class TestSharedLattice:
-    @pytest.mark.parametrize("q", (2, 3, 4, 5))
+    # 7 is prime, 8 a power of 2 and 9 of an odd prime: each takes its own
+    # row operations in the echelon insertions
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
     @pytest.mark.parametrize("family", (*POSET_FAMILIES, "bipartite"))
     def test_matches_the_per_code_census(self, family, q):
         rng = random.Random(f"census:{family}:{q}")
@@ -223,6 +230,36 @@ class TestSharedLattice:
             assert len(replays) == sum(rep.per_dim_total[first - 1 :])
             # only one bottom element below all three tops gives 1 + 8 + 1 + 8
             assert ideals <= 17 or covers in (((1, 3), (1, 4), (1, 5)), ((2, 3), (2, 4), (2, 5)))
+
+    def test_every_height_two_poset_on_five_elements_matches_the_per_code_census(self):
+        # two minimal elements under three maximal ones, with three covers
+        grid = [(a, b) for a in (1, 2) for b in (3, 4, 5)]
+        for covers in combinations(grid, 3):
+            p = from_cover_relations(5, covers)
+            rep = census(p, 2, budget=None)
+            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, 2, 5), covers
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_interned_states_are_subspaces_of_the_column_space(self, monkeypatch, q):
+        states = {}
+        shared = counting._shared_census
+
+        def counted(field, r, forms, lattice):
+            satisfied, states[r] = shared(field, r, forms, lattice)
+            return satisfied, states[r]
+
+        monkeypatch.setattr(counting, "_shared_census", counted)
+        for p in (antichain(3), chain(3), weak_order([1, 2])):
+            states.clear()
+            rep = census(p, q, budget=None)
+            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, 3)
+            # every dimension replays; a state is a subspace of F_q^r
+            assert sorted(states) == [1, 2, 3]
+            for r, count in states.items():
+                assert count <= sum(gaussian_row(r, q)), (p, r)
+            # each line of F_q^2 is the last column of some 2 x 3 form, so r = 2
+            # meets every subspace: no two of them share a state
+            assert states[2] == q + 3
 
 
 class TestPartitionFormat:
