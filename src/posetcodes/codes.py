@@ -230,7 +230,8 @@ def _insert(field: FiniteField, basis, v):
 
 def _walk_records(top: int, walk):
     """The mask, size and parent index of every ideal of the walk record of
-    the ideals inside ``top``, and the element it removes from its parent."""
+    the ideals inside ``top``, and the element it removes from its parent:
+    lists as long as the record, which the census shares among its codes."""
     depths, removed = walk
     masks, parents, last = [], [], [0] * (top.bit_count() + 1)
     for i, (depth, e) in enumerate(zip(depths, removed)):
@@ -244,20 +245,28 @@ def _walk_records(top: int, walk):
 
 def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k (ideals as bitmasks) from the walk record of the ideals
-    inside ``top`` = closure(supp C); m(I) = k - rank of the generator
-    columns outside I, with one column inserted per lattice edge."""
+    inside ``top`` = closure(supp C)."""
+    return _least_ideals(c.k, _ideal_records(c, top, walk))
+
+
+def _ideal_records(c: LinearCode, top: int, walk):
+    """Each ideal of the walk record of the ideals inside ``top``, with its
+    size and m(I) = k - rank of the generator columns outside I: one column
+    is inserted per lattice edge, into stacks as deep as ``top`` is large."""
     field, k = c.field, c.k
     columns = [tuple(row[j] for row in c.subspace.basis) for j in range(c.n)]
-    masks, sizes, parents, removed = _walk_records(top, walk)
-    bases = [()]
-    for parent, e in zip(parents[1:], removed[1:]):
-        bases.append(_insert(field, bases[parent], columns[e]))
-    return _least_ideals(k, masks, sizes, [k - len(basis) for basis in bases])
+    ideals = [top] * (top.bit_count() + 1)
+    bases = [()] * (top.bit_count() + 1)
+    for depth, e in zip(*walk):
+        if depth:
+            ideals[depth] = ideals[depth - 1] ^ (1 << e)
+            bases[depth] = _insert(field, bases[depth - 1], columns[e])
+        yield ideals[depth], ideals[depth].bit_count(), k - len(bases[depth])
 
 
-def _least_ideals(k: int, ideals, sizes, ms) -> tuple[frozenset[int], ...]:
-    """Levels L_1..L_k from every ideal with its size and m(I): L_r is the set
-    of least ideals with m(I) = r (see the note above).
+def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
+    """Levels L_1..L_k from (ideal, size, m(I)) records of every ideal: L_r
+    is the set of least ideals with m(I) = r (see the note above).
 
     The ideals may be those inside any ideal containing S = closure(supp C):
     an ideal I outside S has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is
@@ -265,7 +274,7 @@ def _least_ideals(k: int, ideals, sizes, ms) -> tuple[frozenset[int], ...]:
     """
     best = [None] * (k + 1)
     levels = [[] for _ in range(k + 1)]
-    for ideal, size, m in zip(ideals, sizes, ms):
+    for ideal, size, m in records:
         if best[m] is None or size < best[m]:
             best[m], levels[m] = size, [ideal]
         elif size == best[m]:

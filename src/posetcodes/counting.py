@@ -70,17 +70,15 @@ class CensusReport:
     chain_condition_total: int
 
 
-# SHARED_SLACK was set when replaying the shared record cost each code about
-# 0.6 µs per ideal of P, so that 16 ideals matched the fixed set-up of the
-# per-code path (the code object, the closure of its support, the subcode
-# count).  The replay now costs one table lookup per lattice edge and a
+# SHARED_SLACK stands for the fixed set-up of the per-code path (the code
+# object, the closure of its support, the subcode count), counted in ideals
+# of P.  The shared replay costs one table lookup per lattice edge and a
 # chain search per distinct m-profile: about 0.3-1 µs per ideal.  Measured
 # per code (best of 5, three runs) with Python 3.11 on a shared 2-vCPU VM,
 # shared vs per code: chain(6) at q = 3, r = 2: 2.2-3.6 vs 42-58 µs; a
 # 5-element height-2 poset with 15 ideals at q = 2, r = 3: 14-15 vs 89-92 µs;
 # antichain(7) (128 ideals) at q = 2: r = 1 34-57 vs 16-24 µs, r = 4 53-79
-# vs 204-267 µs, r = 5 75-99 vs 351-468 µs.  So the rule now sends some
-# dimensions (antichain(7) at r = 4) to the slower per-code path.
+# vs 204-267 µs, r = 5 75-99 vs 351-468 µs.
 SHARED_SLACK = 16
 
 
@@ -130,7 +128,7 @@ def census(
     for r, threshold in zip(range(1, max_dim + 1), thresholds):
         forms = _rref_canonical_forms(field, r, n)
         if walk is not None and len(walk[0]) <= threshold:
-            satisfied, _ = _shared_census(field, r, forms, lattice)
+            satisfied = _shared_census(field, r, forms, lattice)
         else:
             codes = (LinearCode(p, Subspace._trusted(field, n, form)) for form in forms)
             satisfied = sum(bool(analyze_code(c, budget).flag_count) for c in codes)
@@ -146,10 +144,9 @@ def census(
     )
 
 
-def _shared_census(field, r: int, forms, lattice) -> tuple[int, int]:
+def _shared_census(field, r: int, forms, lattice) -> int:
     """How many of the r-row RREF ``forms`` have levels with a chain, from
-    the ``_walk_records`` of the whole poset, and how many states the replay
-    interned.
+    the ``_walk_records`` of the whole poset.
 
     A state is the span of the columns outside an ideal, kept as its RREF
     basis and interned to a small int, so there are at most sum_j [r j]_q of
@@ -192,10 +189,10 @@ def _shared_census(field, r: int, forms, lattice) -> tuple[int, int]:
         profile = bytes([ms[state] for state in states])
         verdict = verdicts.get(profile)
         if verdict is None:
-            levels = _least_ideals(r, masks, sizes, profile)
+            levels = _least_ideals(r, zip(masks, sizes, profile))
             verdict = verdicts[profile] = bool(_count_chains(levels)[0])
         satisfied += verdict
-    return satisfied, len(bases)
+    return satisfied
 
 
 # -- partition files ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from posetcodes import (
     gaussian_binomial,
     gaussian_row,
     partition_from_dict,
+    span,
     weak_order,
 )
 from posetcodes import counting
@@ -241,25 +243,29 @@ class TestSharedLattice:
 
     @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
     def test_interned_states_are_subspaces_of_the_column_space(self, monkeypatch, q):
-        states = {}
-        shared = counting._shared_census
+        # the replay interns one state per nonzero span its insertions reach
+        spans = set()
+        insert = counting._insert
 
-        def counted(field, r, forms, lattice):
-            satisfied, states[r] = shared(field, r, forms, lattice)
-            return satisfied, states[r]
+        def recorded(field, basis, v):
+            basis = insert(field, basis, v)
+            if basis:
+                spans.add((len(v), span(field, len(v), [row for _, row in basis])))
+            return basis
 
-        monkeypatch.setattr(counting, "_shared_census", counted)
+        monkeypatch.setattr(counting, "_insert", recorded)
         for p in (antichain(3), chain(3), weak_order([1, 2])):
-            states.clear()
+            spans.clear()
             rep = census(p, q, budget=None)
             assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, 3)
+            states = Counter(r for r, _ in spans)
             # every dimension replays; a state is a subspace of F_q^r
             assert sorted(states) == [1, 2, 3]
             for r, count in states.items():
-                assert count <= sum(gaussian_row(r, q)), (p, r)
+                assert count <= sum(gaussian_row(r, q)[1:]), (p, r)
             # each line of F_q^2 is the last column of some 2 x 3 form, so r = 2
-            # meets every subspace: no two of them share a state
-            assert states[2] == q + 3
+            # meets every nonzero subspace: no two of them share a state
+            assert states[2] == q + 2
 
 
 class TestPartitionFormat:

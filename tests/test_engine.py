@@ -217,6 +217,29 @@ def test_walk_record_costs_a_few_bytes_per_ideal():
     assert peak <= 16 * (1 << 16)
 
 
+def test_ideal_path_keeps_no_list_per_ideal(f2):
+    # coordinates 2i and 2i + 1 carry the same unit column: all 2^14 ideals
+    # of the antichain fit under the 29,211 subcodes, and each level is small
+    n, k = 14, 7
+    rows = [tuple(int(j // 2 == i) for j in range(n)) for i in range(k)]
+    code = LinearCode(antichain(n), span(f2, n, rows))
+    top = (1 << n) - 1
+    walk = _ideal_walk(code.poset, top, 1 << n)
+    record = sum(len(a) * a.itemsize for a in walk)
+    peaks = []
+    for run in (lambda: _ideal_levels(code, top, walk), lambda: analyze_code(code)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert result.hierarchy == tuple(range(2, n + 1, 2))
+    # the replay itself holds stacks as deep as n; the analysis adds the record
+    assert peaks[0] < record
+    assert peaks[1] < 2 * record
+
+
 def _write_instance(tmp_path, poset_json, q, rows):
     poset = tmp_path / "poset.json"
     poset.write_text(poset_json)
