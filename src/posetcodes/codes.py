@@ -228,19 +228,15 @@ def _insert(field: FiniteField, basis, v):
     return basis
 
 
-def _walk_records(top: int, walk):
-    """The mask, size and parent index of every ideal of the walk record of
-    the ideals inside ``top``, and the element it removes from its parent:
-    lists as long as the record, which the census shares among its codes."""
-    depths, removed = walk
-    masks, parents, last = [], [], [0] * (top.bit_count() + 1)
-    for i, (depth, e) in enumerate(zip(depths, removed)):
-        parent = last[depth - 1] if depth else 0
-        masks.append(masks[parent] ^ (1 << e) if depth else top)
-        parents.append(parent)
-        last[depth] = i
-    # each walk step removes one element of ``top``
-    return masks, [top.bit_count() - depth for depth in depths], parents, removed
+def _walk_ideals(top: int, walk):
+    """The mask of each ideal of the walk record of the ideals inside
+    ``top``, in record order: one mask per depth, each its parent's with
+    the removed element cleared."""
+    masks = [top] * (top.bit_count() + 1)
+    for depth, e in zip(*walk):
+        if depth:
+            masks[depth] = masks[depth - 1] ^ (1 << e)
+        yield masks[depth]
 
 
 def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
@@ -252,39 +248,40 @@ def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
 def _ideal_records(c: LinearCode, top: int, walk):
     """Each ideal of the walk record of the ideals inside ``top``, with its
     size and m(I) = k - rank of the generator columns outside I: one column
-    is inserted per lattice edge, into stacks as deep as ``top`` is large."""
+    is inserted per lattice edge, into a stack as deep as ``top`` is large."""
     field, k = c.field, c.k
     columns = [tuple(row[j] for row in c.subspace.basis) for j in range(c.n)]
-    ideals = [top] * (top.bit_count() + 1)
     bases = [()] * (top.bit_count() + 1)
-    for depth, e in zip(*walk):
+    for depth, e, ideal in zip(*walk, _walk_ideals(top, walk)):
         if depth:
-            ideals[depth] = ideals[depth - 1] ^ (1 << e)
             bases[depth] = _insert(field, bases[depth - 1], columns[e])
-        yield ideals[depth], ideals[depth].bit_count(), k - len(bases[depth])
+        yield ideal, ideal.bit_count(), k - len(bases[depth])
 
 
 def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
-    """Levels L_1..L_k from (ideal, size, m(I)) records of every ideal: L_r
-    is the set of least ideals with m(I) = r (see the note above).
+    """Levels L_1..L_k from (ideal, size, r) records: L_r is the set of least
+    ideals tagged r.
 
-    The ideals may be those inside any ideal containing S = closure(supp C):
-    an ideal I outside S has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is
-    never a least ideal of its m and joins no level.
+    The ideal path tags every ideal I with m(I) (see the note above).  Its
+    ideals may be those inside any ideal containing S = closure(supp C): an
+    ideal I outside S has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is never
+    a least ideal of its m and joins no level.  The subcode path tags the
+    closure of each r-dimensional subcode with r.
     """
     best = [None] * (k + 1)
     levels = [[] for _ in range(k + 1)]
-    for ideal, size, m in records:
-        if best[m] is None or size < best[m]:
-            best[m], levels[m] = size, [ideal]
-        elif size == best[m]:
-            levels[m].append(ideal)
+    for ideal, size, r in records:
+        least = best[r]
+        if least is None or size < least:
+            best[r], levels[r] = size, [ideal]
+        elif size == least:
+            levels[r].append(ideal)
     return tuple(frozenset(level) for level in levels[1:])
 
 
 def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k from the ideal closures of the r-dimensional subcodes,
-    keeping those of minimum size.
+    each tagged r for ``_least_ideals``.
 
     A subcode is the row space of an r-by-k coefficient RREF form, and its
     closure is the union of the closures of the form's rows.  For a fixed
@@ -307,22 +304,17 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
             row_closures[key] = {reduce(or_, compress(down, word), 0) for word in words}
         return row_closures[key]
 
-    levels = []
-    for r in range(1, k + 1):
-        best, level = None, set()
-        for pivots in combinations(range(k), r):
-            unions = {0}
-            for pivot in pivots:
-                free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
-                unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
-            for ideal in unions:
-                size = ideal.bit_count()
-                if best is None or size < best:
-                    best, level = size, {ideal}
-                elif size == best:
-                    level.add(ideal)
-        levels.append(frozenset(level))
-    return tuple(levels)
+    def records():
+        for r in range(1, k + 1):
+            for pivots in combinations(range(k), r):
+                unions = {0}
+                for pivot in pivots:
+                    free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
+                    unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
+                for ideal in unions:
+                    yield ideal, ideal.bit_count(), r
+
+    return _least_ideals(k, records())
 
 
 def _coefficients_within(c: LinearCode, ideal: int):

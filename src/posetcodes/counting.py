@@ -13,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .codes import (
-    LinearCode,
-    _count_chains,
-    _ideal_walk,
-    _insert,
-    _least_ideals,
-    _walk_records,
-    analyze_code,
-)
+from .codes import LinearCode, _count_chains, _ideal_walk, _least_ideals, _walk_ideals, analyze_code
 from .errors import BudgetExceeded, InputError, RangeError
 from .gf import GF, _factor_prime_power
 from .linalg import (
@@ -29,6 +21,7 @@ from .linalg import (
     Subspace,
     _gaussian_prefix,
     _rref_canonical_forms,
+    _rref_rows,
     gaussian_row,
 )
 from .poset import ChainPartition, Poset, _is_int, _read_json
@@ -86,22 +79,23 @@ def _census_sizes(n: int, q: int, max_dim: int | None, budget: int | None):
     """The field and the subspace counts [n r]_q of the dimensions
     r = 1..max_dim (default n), added up one dimension at a time: the first
     partial sum past ``budget`` raises before the full count, which can have
-    far too many digits to compute or print, is reached."""
+    far too many digits to compute or print, is reached.  [n 1]_q is at
+    least 2^(n-1), so a length past that bound raises before [n 1]_q itself,
+    with no count."""
     if max_dim is None:
         max_dim = n
     if not 0 <= max_dim <= n:
         raise RangeError(f"max_dim {max_dim} outside 0..{n}")
     field = GF(q)
+    message = f"census over more than {budget} subspaces exceeds the budget {budget}"
+    if budget is not None and max_dim and n - 1 >= budget.bit_length():
+        raise BudgetExceeded(message, budget=budget)
     per_total, total = [], 0
     for count in islice(_gaussian_prefix(n, q), 1, max_dim + 1):
         per_total.append(count)
         total += count
         if budget is not None and total > budget:
-            raise BudgetExceeded(
-                f"census over more than {budget} subspaces exceeds the budget {budget}",
-                count=total,
-                budget=budget,
-            )
+            raise BudgetExceeded(message, count=total, budget=budget)
     return field, per_total
 
 
@@ -123,7 +117,9 @@ def census(
     thresholds = [sum(gaussian_row(r, q)[1:]) + SHARED_SLACK for r in range(1, max_dim + 1)]
     full = (1 << n) - 1
     walk = _ideal_walk(p, full, min(sum(per_total), thresholds[-1]) if thresholds else 0)
-    lattice = None if walk is None else _walk_records(full, walk)
+    if walk is not None:
+        masks = list(_walk_ideals(full, walk))
+        lattice = masks, [mask.bit_count() for mask in masks], *walk
     per_chain = []
     for r, threshold in zip(range(1, max_dim + 1), thresholds):
         forms = _rref_canonical_forms(field, r, n)
@@ -146,47 +142,45 @@ def census(
 
 def _shared_census(field, r: int, forms, lattice) -> int:
     """How many of the r-row RREF ``forms`` have levels with a chain, from
-    the ``_walk_records`` of the whole poset.
+    the mask, size, depth and removed element of every ideal of the walk
+    record of the whole poset.
 
     A state is the span of the columns outside an ideal, kept as its RREF
-    basis and interned to a small int, so there are at most sum_j [r j]_q of
-    them.  The state of an ideal follows from its parent's state and the
-    column of the removed element, so each code costs one lookup per lattice
-    edge, in a transition table filled by ``_insert`` on first use, and
-    m(I) = r - dim(state).  The masks and sizes are those of every code, so
-    the levels, and with them the verdict, depend only on the m-profile: the
-    chain search runs once per distinct profile.
+    rows and interned to a small int, so there are at most sum_j [r j]_q of
+    them.  The state of an ideal follows from the state one level up the
+    depth stack and the column of the removed element, so each code costs
+    one lookup per lattice edge, in a transition table filled by one RREF
+    elimination on first use, and m(I) = r - dim(state).  The masks and
+    sizes are those of every code, so the levels, and with them the verdict,
+    depend only on the m-profile: the chain search runs once per distinct
+    profile.
     """
-    masks, sizes, parents, removed = lattice
-    bases, index, ms = [()], {(): 0}, [r]  # state 0: no column outside the top
+    masks, sizes, depths, removed = lattice
+    spans, index, ms = [()], {(): 0}, [r]  # state 0: no column outside the top
     steps, verdicts = {}, {}  # (state, column) -> state, m-profile -> verdict
 
     def advance(state, column):
-        basis = _insert(field, bases[state], column)
-        if len(basis) == len(bases[state]):  # the column is in the span
-            return state
-        # clear the new pivot from the other rows: the RREF names the span
-        p, row = basis[-1]
-        rows = [(j, field.axpy(x, x[p], row)) for j, x in basis[:-1]] + [(p, row)]
-        basis = tuple(sorted((j, tuple(x)) for j, x in rows))
-        if basis not in index:
-            index[basis] = len(bases)
-            bases.append(basis)
-            ms.append(r - len(basis))
-        return index[basis]
+        rows = tuple(_rref_rows(field, (*spans[state], column), r)[0])
+        if rows not in index:
+            index[rows] = len(spans)
+            spans.append(rows)
+            ms.append(r - len(rows))
+        return index[rows]
 
-    edges = list(zip(parents, removed))[1:]
+    edges = list(zip(depths, removed))[1:]
+    states = [0] * (sizes[0] + 1)  # one state per depth, states[0] for the top
     satisfied = 0
     for form in forms:
         columns = list(zip(*form))
-        states = [0]
-        for parent, e in edges:
-            key = (states[parent], columns[e])
+        profile = bytearray([r])
+        for depth, e in edges:
+            key = (states[depth - 1], columns[e])
             state = steps.get(key)
             if state is None:
                 state = steps[key] = advance(*key)
-            states.append(state)
-        profile = bytes([ms[state] for state in states])
+            states[depth] = state
+            profile.append(ms[state])
+        profile = bytes(profile)
         verdict = verdicts.get(profile)
         if verdict is None:
             levels = _least_ideals(r, zip(masks, sizes, profile))

@@ -11,7 +11,7 @@ import random
 from .codes import LinearCode
 from .gf import FiniteField
 from .linalg import Matrix, span
-from .poset import Poset, antichain, chain, from_cover_relations, weak_order
+from .poset import Poset, _bits, antichain, chain, from_cover_relations, weak_order
 
 POSET_FAMILIES = ("chain", "antichain", "weak_order", "random_cover")
 
@@ -54,17 +54,14 @@ def random_code(rng: random.Random, field: FiniteField, p: Poset, k: int) -> Lin
 def random_maximal_chain(rng: random.Random, p: Poset) -> tuple[int, ...]:
     """A maximal chain, built by repeatedly picking a minimal element of the
     strict up-set of the last choice."""
-
-    def minimal_of(subset):
-        return [e for e in subset if not any(f != e and p.leq(f, e) for f in subset)]
-
+    down, up = p._down, p._up
     out = []
-    candidates = minimal_of(list(p.elements))
-    while candidates:
-        e = rng.choice(sorted(candidates))
+    mask = (1 << p.n) - 1
+    while mask:
+        # the minimal elements of the mask, ascending
+        e = rng.choice([i + 1 for i in _bits(mask) if down[i] & mask == 1 << i])
         out.append(e)
-        upset = [f for f in p.elements if f != e and p.leq(e, f)]
-        candidates = minimal_of(upset)
+        mask = up[e - 1] ^ (1 << (e - 1))
     return tuple(out)
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -393,6 +395,21 @@ def test_census_budget_is_checked_before_the_order_masks(capsys, tmp_path, poset
     assert peak < 5_000_000
 
 
+def test_census_budget_needs_no_first_subspace_count(capsys, tmp_path):
+    # [n 1]_q >= 2^(n-1) is past the budget, so q^n, with n bits or more,
+    # is never computed; [n 1]_2 alone takes seconds to compute at this size
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"chain": 10**9}))
+    start = time.perf_counter()
+    assert main(["census", "--poset", str(path), "--q", "2"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: census over more than {2**24} subspaces exceeds the budget {2**24}\n"
+    # the field is still checked first
+    assert main(["census", "--poset", str(path), "--q", "6"]) == 2
+    assert capsys.readouterr().err == "error: 6 is not a prime power\n"
+
+
 def test_census_reports_the_budget_before_a_cover_error(capsys, tmp_path):
     path = tmp_path / "poset.json"
     path.write_text('{"n": 2000, "covers": [[1, 2], [2, 1]]}')
@@ -635,3 +652,37 @@ def test_bound_on_a_long_chain_renders_every_digit(capsys, tmp_path):
     poset.write_text('{"chain": 240}')
     assert main(["bound", "--poset", str(poset), "--q", "2"]) == 0
     assert capsys.readouterr().err == ""
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_a_terminal_stderr_gets_the_summary(capsys, monkeypatch):
+    argv = {
+        "hierarchy": ["hierarchy", "--poset", str(WEAK), "--code", str(CODE27)],
+        "census": ["census", "--poset", str(CHAIN3), "--q", "2"],
+    }
+    plain = {}
+    for name, args in argv.items():
+        assert main(args) == 0
+        plain[name] = capsys.readouterr()
+        assert plain[name].err == ""
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    for name, args in argv.items():
+        assert main(args) == 0
+        # the JSON on stdout does not change
+        assert capsys.readouterr().out == plain[name].out
+    lines = terminal.getvalue().splitlines()
+    assert "hierarchy: [7, 19, 25]" in lines
+    assert "per_dim: [3 entries]" in lines
+    assert "census_ge_bound: True" in lines
+    # nested objects are flattened into dotted keys
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    report = {"top": {"inner": {"leaf": 1}}, "rows": []}
+    cli._emit(report, SimpleNamespace(out=None))
+    assert json.loads(capsys.readouterr().out) == report
+    assert terminal.getvalue().splitlines() == ["top.inner.leaf: 1", "rows: []"]

@@ -129,6 +129,19 @@ class TestCensus:
             census(chain(3), 2, budget=6)
         assert exc.value.count == 7
 
+    def test_budget_below_two_to_the_n_minus_one_needs_no_count(self):
+        # [n 1]_2 = 2^n - 1: at n = 4 it is counted against the budget 14 (4
+        # bits), at n = 5 it exceeds 2^4 > 14 and is never computed
+        with pytest.raises(BudgetExceeded) as exc:
+            counting._census_sizes(4, 2, None, 14)
+        assert exc.value.count == 15
+        for n, q in ((5, 2), (5, 9)):
+            with pytest.raises(BudgetExceeded, match="more than 14 subspaces") as exc:
+                counting._census_sizes(n, q, None, 14)
+            assert exc.value.count is None
+        # no dimension, no count to exceed it
+        assert counting._census_sizes(10**9, 2, 0, 14)[1] == []
+
     def test_minimal_partition_width_remark(self):
         # with the minimal partition, the number of chains equals the width
         for p in (chain(4), antichain(4), weak_order([3, 2])):
@@ -243,17 +256,17 @@ class TestSharedLattice:
 
     @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
     def test_interned_states_are_subspaces_of_the_column_space(self, monkeypatch, q):
-        # the replay interns one state per nonzero span its insertions reach
+        # the replay interns one state per nonzero span its eliminations reach
         spans = set()
-        insert = counting._insert
+        rref_rows = counting._rref_rows
 
-        def recorded(field, basis, v):
-            basis = insert(field, basis, v)
-            if basis:
-                spans.add((len(v), span(field, len(v), [row for _, row in basis])))
-            return basis
+        def recorded(field, rows, ncols, *order):
+            result = rref_rows(field, rows, ncols, *order)
+            if result[0]:
+                spans.add((ncols, span(field, ncols, result[0])))
+            return result
 
-        monkeypatch.setattr(counting, "_insert", recorded)
+        monkeypatch.setattr(counting, "_rref_rows", recorded)
         for p in (antichain(3), chain(3), weak_order([1, 2])):
             spans.clear()
             rep = census(p, q, budget=None)

@@ -35,6 +35,7 @@ from posetcodes.codes import (
     _ideal_levels,
     _ideal_walk,
     _subcode_levels,
+    _walk_ideals,
     _support_mask,
     analyze_code,
 )
@@ -109,17 +110,6 @@ def test_zero_code_has_one_empty_flag(f2):
     assert analysis.witness() == Flag((), ())
 
 
-def _replay(top, walk):
-    """The ideals of a walk record, in the order recorded."""
-    ideals = [top] * (top.bit_count() + 1)
-    out = []
-    for depth, e in zip(*walk):
-        if depth:
-            ideals[depth] = ideals[depth - 1] ^ (1 << e)
-        out.append(ideals[depth])
-    return out
-
-
 def _down_closed_subsets(p, top):
     elements = [e for e in range(p.n) if (top >> e) & 1]
     subsets = []
@@ -138,7 +128,7 @@ def test_walk_records_every_ideal_once(family):
         top = p.ideal_mask(rng.getrandbits(p.n))
         ideals = _down_closed_subsets(p, top)
         where = f"{p!r} top={top:b}"
-        replayed = _replay(top, _ideal_walk(p, top, len(ideals)))
+        replayed = list(_walk_ideals(top, _ideal_walk(p, top, len(ideals))))
         assert len(replayed) == len(ideals), where
         assert set(replayed) == set(ideals), where
         assert _ideal_walk(p, top, len(ideals) - 1) is None, where
@@ -160,7 +150,7 @@ def test_coefficients_within_every_ideal_are_the_kernel_rref(q):
                 for x in product(range(q), repeat=code.k)
             }
             top = code.poset.ideal_mask(_code_support_mask(code))
-            for ideal in _replay(top, _ideal_walk(code.poset, top, 1 << n)):
+            for ideal in _walk_ideals(top, _ideal_walk(code.poset, top, 1 << n)):
                 kernel = [
                     x
                     for x, word in words.items()

@@ -141,6 +141,23 @@ def random_cover_poset(rng, n, density=0.35):
     return from_cover_relations(n, covers)
 
 
+def pairwise_maximal_chain(rng, p):
+    """The pairwise ``random_maximal_chain``: minimal elements by scanning
+    every pair of the current up-set (oracle)."""
+
+    def minimal_of(subset):
+        return [e for e in subset if not any(f != e and p.leq(f, e) for f in subset)]
+
+    out = []
+    candidates = minimal_of(list(p.elements))
+    while candidates:
+        e = rng.choice(sorted(candidates))
+        out.append(e)
+        upset = [f for f in p.elements if f != e and p.leq(e, f)]
+        candidates = minimal_of(upset)
+    return tuple(out)
+
+
 class TestConstructors:
     def test_empty_covers_give_antichain(self):
         p = from_cover_relations(3, [])
@@ -393,6 +410,24 @@ class TestTotalOrder:
         split = disjoint_chains(2000, 2).is_total_on(range(1, 4001))
         assert total and not split
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_maximal_chain_matches_the_pairwise_draw(seed):
+    # the same seed must give the same chain and leave the generator in the
+    # same state, so every seeded batch that draws chains is unchanged
+    rng = random.Random(f"maximal chain:{seed}")
+    for family in (*POSET_FAMILIES, "bipartite"):
+        for _ in range(25):
+            n = rng.randint(1, 12)
+            if family == "bipartite":
+                p = random_bipartite(rng, n)
+            else:
+                p = random_poset(rng, family, n)
+            draw = rng.getrandbits(32)
+            masks, pairwise = random.Random(draw), random.Random(draw)
+            assert random_maximal_chain(masks, p) == pairwise_maximal_chain(pairwise, p), p
+            assert masks.getstate() == pairwise.getstate(), p
 
 
 class TestWidthAndPartition:
