@@ -10,7 +10,7 @@ import random
 
 from .codes import LinearCode
 from .gf import FiniteField
-from .linalg import Matrix, span
+from .linalg import Matrix, _span
 from .poset import Poset, _bits, antichain, chain, from_cover_relations, weak_order
 
 POSET_FAMILIES = ("chain", "antichain", "weak_order", "random_cover")
@@ -42,10 +42,13 @@ def random_poset(rng: random.Random, family: str, n: int) -> Poset:
 
 
 def random_code(rng: random.Random, field: FiniteField, p: Poset, k: int) -> LinearCode:
-    """Random code of exact dimension k <= n (redraws until full rank)."""
+    """Random code of exact dimension k <= n (redraws until full rank).
+
+    The entries are field elements by construction, so the span skips the
+    validation ``span`` does on outside input."""
     for _ in range(128):
         rows = [[rng.randrange(field.q) for _ in range(p.n)] for _ in range(k)]
-        s = span(field, p.n, rows)
+        s = _span(field, p.n, rows)
         if s.dim == k:
             return LinearCode(p, s)
     raise RuntimeError(f"failed to draw a rank-{k} code of length {p.n} over {field}")
@@ -83,7 +86,7 @@ def random_chain_supported_code(
             for j in positions:
                 v[j] = rng.randrange(field.q)
             rows.append(v)
-        s = span(field, p.n, rows)
+        s = _span(field, p.n, rows)
         if s.dim == k:
             return LinearCode(p, s)
     raise RuntimeError(f"failed to draw a rank-{k} chain-supported code over {field}")
