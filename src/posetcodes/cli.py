@@ -290,7 +290,7 @@ def _cmd_verify(args):
     else:
         if not args.batch:
             raise InputError("either --code (instance mode) or --batch (batch mode) is required")
-        qs = (args.q,) if args.q else (2, 3)
+        qs = (args.q,) if args.q is not None else (2, 3)
         results = batch_checks(args.seed, args.batch, qs, args.max_n, args.budget)
         report = {"mode": "batch", "seed": args.seed, "batch": args.batch}
     ok = all(r.ok for r in results)

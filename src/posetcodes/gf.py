@@ -25,32 +25,17 @@ from .errors import InputError, RangeError
 MAX_Q = 1 << 16
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, m) with q = p**m and p prime; reject anything else."""
     if q < 2:
         raise InputError(f"field order must be at least 2, got {q}")
     if q > MAX_Q:
         raise InputError(f"field order {q} exceeds the supported cap {MAX_Q}")
-    p = _smallest_prime_factor(q)
-    m = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1:
+    factors = _prime_factors(q)
+    if len(factors) != 1:
         raise InputError(f"{q} is not a prime power")
-    return p, m
+    p = factors[0]
+    return p, len(_digits(q, p)) - 1  # p**m has m + 1 base-p digits
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -70,9 +55,11 @@ def _prime_factors(n: int) -> list[int]:
 # --- polynomials over GF(p), coefficient tuples in ascending degree ---
 
 
-def _digits(v: int, p: int, width: int) -> tuple[int, ...]:
+def _digits(v: int, p: int, width: int = 0) -> tuple[int, ...]:
+    """Base-p digits of v, constant first: ``width`` of them, or more until
+    the rest of v is zero."""
     out = []
-    for _ in range(width):
+    while v or len(out) < width:
         out.append(v % p)
         v //= p
     return tuple(out)
@@ -129,6 +116,17 @@ def _find_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
+def _power(mul, a: int, e: int) -> int:
+    """a**e for e >= 0 by square-and-multiply under the product ``mul``."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        e >>= 1
+    return out
+
+
 def _digitwise(a: int, b: int, p: int, sign: int) -> int:
     """a + sign * b in GF(p^m) for odd p: base-p digits add without carries."""
     out, shift = 0, 1
@@ -160,13 +158,6 @@ class FiniteField:
 
     # -- representation ------------------------------------------------
 
-    def _to_poly(self, a: int) -> tuple[int, ...]:
-        out = []
-        while a:
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
     def _from_poly(self, c: tuple[int, ...]) -> int:
         out = 0
         for coef in reversed(c):
@@ -174,25 +165,15 @@ class FiniteField:
         return out
 
     def _mul_poly(self, a: int, b: int) -> int:
-        return self._from_poly(
-            _poly_mulmod(self._to_poly(a), self._to_poly(b), self.modulus, self.p)
-        )
-
-    def _pow_poly(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_poly(out, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
-        return out
+        p = self.p
+        return self._from_poly(_poly_mulmod(_digits(a, p), _digits(b, p), self.modulus, p))
 
     def _build_tables(self):
         order = self.q - 1
         factors = _prime_factors(order)
         gen = None
         for g in range(2, self.q):
-            if all(self._pow_poly(g, order // f) != 1 for f in factors):
+            if all(_power(self._mul_poly, g, order // f) != 1 for f in factors):
                 gen = g
                 break
         assert gen is not None
@@ -247,13 +228,7 @@ class FiniteField:
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return _power(self.mul, a, e)
 
     # -- rows ------------------------------------------------------------
     #

@@ -170,26 +170,16 @@ class Subspace:
         return s
 
     def __post_init__(self):
-        last_pivot = -1
-        pivot_cols = []
         for row in self.basis:
             if len(row) != self.n:
                 raise LengthMismatch(f"basis row of length {len(row)}, ambient is {self.n}")
             for e in row:
                 self.field.validate(e)
-            pivot = next((j for j, e in enumerate(row) if e), None)
-            if pivot is None:
-                raise InputError("zero row in a subspace basis")
-            if pivot <= last_pivot or row[pivot] != 1:
-                raise InputError("subspace basis is not in reduced row-echelon form")
-            last_pivot = pivot
-            pivot_cols.append(pivot)
-        for i, row in enumerate(self.basis):
-            for j, p in enumerate(pivot_cols):
-                if i != j and row[p]:
-                    raise InputError("subspace basis is not in reduced row-echelon form")
         if len(self.basis) > self.n:
             raise RankError(f"dimension {len(self.basis)} exceeds ambient {self.n}")
+        # a basis is canonical iff it is its own reduced row-echelon form
+        if tuple(_rref_rows(self.field, self.basis, self.n)[0]) != self.basis:
+            raise InputError("subspace basis is not in reduced row-echelon form")
 
     @property
     def dim(self) -> int:
@@ -228,27 +218,20 @@ def _identity_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def contains(s: Subspace, v) -> bool:
-    """Membership test by reduction of v against the basis."""
+    """Membership test: v lies in s iff adding it keeps the rank at s.dim."""
     v = tuple(int(e) for e in v)
     if len(v) != s.n:
         raise LengthMismatch(f"vector of length {len(v)}, ambient is {s.n}")
-    residual = v
-    for row in s.basis:
-        p = next(j for j, e in enumerate(row) if e)
-        c = residual[p]
-        if c:
-            residual = s.field.axpy(residual, c, row)
-    return not any(residual)
+    return len(_rref_rows(s.field, (*s.basis, v), s.n)[0]) == s.dim
 
 
 def is_subspace_of(a: Subspace, b: Subspace) -> bool:
+    """a lies in b iff adding the rows of a keeps the rank at b.dim."""
     if a.field != b.field:
         raise FieldMismatch(f"subspaces over {a.field} and {b.field}")
     if a.n != b.n:
         raise LengthMismatch(f"ambient dimensions differ: {a.n} vs {b.n}")
-    if a.dim > b.dim:
-        return False
-    return all(contains(b, row) for row in a.basis)
+    return len(_rref_rows(a.field, (*b.basis, *a.basis), a.n)[0]) == b.dim
 
 
 def _combine(field, coeff, basis, n):

@@ -22,7 +22,7 @@ from .codes import (
     support_of_code,
     support_of_vector,
 )
-from .errors import BudgetExceeded, PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated, count_text
 from .gf import GF
 from .linalg import (
     DEFAULT_BUDGET,
@@ -254,7 +254,18 @@ def batch_checks(
     run once per distinct instance of the call: a repeated draw reuses the
     failing checks of its first occurrence and still reports them under its
     own index.  At most ``_VERDICT_KEYS`` instances are remembered at a time.
+
+    A ``random_cover`` poset on n elements draws one coin per pair, so a
+    ``max_n`` with more than ``budget`` pairs is refused before any draw.
     """
+    pairs = max_n * (max_n - 1) // 2
+    if budget is not None and pairs > budget:
+        raise BudgetExceeded(
+            f"{count_text(pairs)} cover draws of a random poset on {max_n} elements"
+            f" exceed the budget {budget}",
+            count=pairs,
+            budget=budget,
+        )
     rng = random.Random(seed)
     results = []
 

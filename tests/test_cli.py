@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from posetcodes import cli
+from posetcodes import cli, verify
 from posetcodes.cli import main
 from posetcodes.linalg import DEFAULT_BUDGET, gaussian_row
 from conftest import DEMO
@@ -254,6 +254,53 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: --") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("q", (0, 1))
+    def test_batch_field_order_below_2_exits_2(self, capsys, q):
+        # 0 is an order like any other, not a request for the default orders
+        assert main(["verify", "--batch", "1", "--q", str(q)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: field order must be at least 2, got {q}\n"
+
+    @pytest.mark.parametrize(
+        "max_n, budget, refused",
+        (
+            (100000, DEFAULT_BUDGET, True),
+            (5794, DEFAULT_BUDGET, True),
+            (5793, DEFAULT_BUDGET, False),
+            (8, 27, True),
+            (8, 28, False),
+        ),
+    )
+    def test_batch_max_n_past_the_budget_exits_3_before_drawing(
+        self, capsys, monkeypatch, max_n, budget, refused
+    ):
+        # max_n (max_n - 1) / 2 cover draws against the budget; a rejected
+        # run never reaches the first draw
+        drawn = []
+
+        def first_draw(*args):
+            drawn.append(args)
+            raise ZeroDivisionError
+
+        monkeypatch.setattr(verify, "random_poset", first_draw)
+        argv = ["verify", "--batch", "1", "--max-n", str(max_n), "--budget", str(budget)]
+        start = time.perf_counter()
+        if refused:
+            assert main(argv) == 3
+            assert time.perf_counter() - start < 1
+            out, err = capsys.readouterr()
+            pairs = max_n * (max_n - 1) // 2
+            assert out == "" and drawn == []
+            assert err == (
+                f"error: {pairs} cover draws of a random poset on {max_n} elements"
+                f" exceed the budget {budget}\n"
+            )
+        else:
+            with pytest.raises(ZeroDivisionError):
+                main(argv)
+            assert len(drawn) == 1
 
     @pytest.mark.parametrize(
         "text",

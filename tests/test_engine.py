@@ -17,9 +17,11 @@ from posetcodes import (
     Flag,
     LinearCode,
     Poset,
+    Subspace,
     chain,
     antichain,
     find_maximal_flag,
+    generalized_weight,
     is_flag_unique,
     span,
     weak_order,
@@ -100,6 +102,38 @@ def test_both_level_builders_match_the_oracles(family, q):
         else:
             with pytest.raises(ChainConditionUnsatisfied):
                 is_flag_unique(code)
+
+
+# q -> largest k: both level builders run, and the subcode path enumerates
+# all [k r]_q subcodes
+WITNESS_K = {2: 5, 3: 4, 4: 4, 9: 3}
+
+
+@pytest.mark.parametrize("q", WITNESS_K)
+def test_witness_subspaces_pass_full_validation(q):
+    # witness() builds its subspaces without re-validation or re-elimination;
+    # this is where their bases are checked
+    f = GF(q)
+    rng = random.Random(f"witness:{q}")
+    flags = 0
+    for family in POSET_FAMILIES:
+        for _ in range(12):
+            n = rng.randint(1, 10)
+            k = rng.randint(1, min(WITNESS_K[q], n))
+            code = random_code(rng, f, random_poset(rng, family, n), k)
+            top = code.poset.ideal_mask(_code_support_mask(code))
+            walk = _ideal_walk(code.poset, top, 1 << n)
+            for levels in (_ideal_levels(code, top, walk), _subcode_levels(code)):
+                analysis = CodeAnalysis(code, levels)
+                flag = analysis.witness()
+                if flag is None:
+                    continue
+                flags += 1
+                for s, d in zip(flag.subspaces, analysis.hierarchy):
+                    checked = Subspace(f, n, s.basis)
+                    assert s == checked and hash(s) == hash(checked)
+                    assert generalized_weight(code.poset, checked) == d
+    assert flags > 60
 
 
 def test_zero_code_has_one_empty_flag(f2):

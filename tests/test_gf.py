@@ -118,3 +118,53 @@ def test_row_operations_match_their_elementwise_composition(q):
             assert f.scale(a, x) == [f.mul(a, u) for u in x]
             assert f.axpy(x, a, y) == [f.sub(u, f.mul(a, v)) for u, v in zip(x, y)]
             assert f.axpy(tuple(x), a, tuple(y)) == f.axpy(x, a, y)
+
+
+# Extension fields past the exhaustive tests, each with the modulus its
+# construction picks: the first monic irreducible in base-p order.  A
+# different modulus would renumber the field's elements.
+LARGE_EXTENSIONS = {
+    25: (2, 0, 1),
+    27: (1, 2, 0, 1),
+    49: (1, 0, 1),
+    64: (1, 1, 0, 0, 0, 0, 1),
+    81: (2, 1, 0, 0, 1),
+    125: (1, 1, 0, 1),
+    243: (1, 2, 0, 0, 0, 1),
+    256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+}
+
+
+def schoolbook_product(p, modulus, a, b):
+    """a * b in GF(p)[x] / (modulus) on base-p encodings: multiply the digit
+    polynomials, then cancel each term above degree m with the monic modulus."""
+    m = len(modulus) - 1
+    da = [a // p**i % p for i in range(m)]
+    db = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for d in range(2 * m - 2, m - 1, -1):
+        c = prod[d] % p
+        for i, e in enumerate(modulus):
+            prod[d - m + i] -= c * e
+    return sum(prod[i] % p * p**i for i in range(m))
+
+
+@pytest.mark.parametrize("q", LARGE_EXTENSIONS)
+def test_large_extension_products_match_the_schoolbook_product(q):
+    f = GF(q)
+    assert f.modulus == LARGE_EXTENSIONS[q]
+    assert f.p**f.m == q and len(f.modulus) == f.m + 1
+    rng = random.Random(f"schoolbook:{q}")
+    pairs = [(a, b) for a in (0, 1, q - 1) for b in (0, 1, q - 1)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert f.mul(a, b) == schoolbook_product(f.p, f.modulus, a, b), (a, b)
+    for a in rng.sample(range(1, q), 20):
+        power = 1
+        for e in range(8):
+            assert f.pow(a, e) == power
+            power = schoolbook_product(f.p, f.modulus, power, a)
+        assert schoolbook_product(f.p, f.modulus, a, f.pow(a, -1)) == 1

@@ -10,6 +10,7 @@ from posetcodes import (
     GF,
     BudgetExceeded,
     FieldMismatch,
+    InputError,
     LengthMismatch,
     RangeError,
     RankError,
@@ -316,3 +317,124 @@ def test_package_built_subspaces_pass_full_validation(q):
     for s in built:
         checked = Subspace(f, s.n, s.basis)
         assert s == checked and hash(s) == hash(checked)
+
+
+# -- canonical-form questions against independent oracles -------------------------
+
+
+def hand_written_rref_check(field, n, basis):
+    """The pivot bookkeeping ``Subspace.__post_init__`` did before it became
+    a fixed-point test of ``_rref_rows``: the acceptance oracle."""
+    last_pivot = -1
+    pivot_cols = []
+    for row in basis:
+        if len(row) != n:
+            raise LengthMismatch(f"basis row of length {len(row)}, ambient is {n}")
+        for e in row:
+            field.validate(e)
+        pivot = next((j for j, e in enumerate(row) if e), None)
+        if pivot is None:
+            raise InputError("zero row in a subspace basis")
+        if pivot <= last_pivot or row[pivot] != 1:
+            raise InputError("subspace basis is not in reduced row-echelon form")
+        last_pivot = pivot
+        pivot_cols.append(pivot)
+    for i, row in enumerate(basis):
+        for j, p in enumerate(pivot_cols):
+            if i != j and row[p]:
+                raise InputError("subspace basis is not in reduced row-echelon form")
+    if len(basis) > n:
+        raise RankError(f"dimension {len(basis)} exceeds ambient {n}")
+
+
+def candidate_bases(rng, f, n):
+    """(kind, basis): canonical bases of random spans, and the same bases
+    with a zero row, an unnormalised row, a non-reduced row, a duplicated
+    row, two rows swapped, a row too many, a short row or an entry out of
+    range; then rows drawn at random, which are canonical now and then."""
+    q = f.q
+    scalars = range(2, q)
+    for _ in range(40):
+        s = span(f, n, [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, n))])
+        rows = list(s.basis)
+        yield "canonical", tuple(rows)
+        if not rows:
+            continue
+        i = rng.randrange(len(rows))
+        yield "zero", tuple(rows[:i] + [(0,) * n] + rows[i:])
+        if scalars:
+            yield "unnormalised", tuple(
+                rows[:i] + [tuple(f.scale(rng.choice(scalars), rows[i]))] + rows[i + 1 :]
+            )
+        if len(rows) > 1:
+            i, j = rng.sample(range(len(rows)), 2)
+            mixed = list(rows)
+            mixed[i] = tuple(f.axpy(rows[i], rng.randrange(1, q), rows[j]))
+            # j > i leaves row i unreduced, j < i moves its pivot out of order
+            yield "non-reduced" if j > i else "out-of-order", tuple(mixed)
+            swapped = list(rows)
+            swapped[i], swapped[j] = rows[j], rows[i]
+            yield "out-of-order", tuple(swapped)
+        yield "duplicated", tuple(rows[: i + 1] + rows[i:])
+        yield "too-many", tuple(rows + [rows[-1]] * (n + 1 - len(rows)))
+        yield "short", tuple(rows[:i] + [rows[i][:-1]] + rows[i + 1 :])
+        yield "out-of-range", tuple(rows[:i] + [rows[i][:-1] + (q,)] + rows[i + 1 :])
+    for _ in range(40):
+        yield "random", tuple(
+            tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(0, n))
+        )
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9))
+def test_fixed_point_check_accepts_what_the_hand_written_check_accepts(q):
+    f = GF(q)
+    rng = random.Random(f"fixed-point:{q}")
+    verdicts = {}
+    for n in range(1, 7):
+        for kind, basis in candidate_bases(rng, f, n):
+            try:
+                hand_written_rref_check(f, n, basis)
+                accepted = True
+            except InputError:
+                accepted = False
+            if accepted:
+                s = Subspace(f, n, basis)
+                assert s.basis == basis and s == span(f, n, basis), (kind, basis)
+            else:
+                with pytest.raises(InputError):
+                    Subspace(f, n, basis)
+            verdicts.setdefault(kind, set()).add(accepted)
+    # every kind but the random draws is decided by its construction
+    assert verdicts.pop("canonical") == {True}
+    assert verdicts.pop("random") == {True, False}
+    assert all(accepted == {False} for accepted in verdicts.values()), verdicts
+
+
+def all_subspaces_with_codewords(f, n):
+    """Every subspace of F_q^n with its set of codewords, the latter from
+    every combination of the basis rows, entry by entry."""
+    out = []
+    for r in range(n + 1):
+        for s in enumerate_subspaces(full_space(f, n), r):
+            words = set()
+            for coeff in product(f.elements(), repeat=r):
+                word = [0] * n
+                for c, row in zip(coeff, s.basis):
+                    word = [f.add(w, f.mul(c, e)) for w, e in zip(word, row)]
+                words.add(tuple(word))
+            out.append((s, frozenset(words)))
+    return out
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4) for n in range(1, 5)])
+def test_membership_and_nesting_match_codeword_sets(q, n):
+    f = GF(q)
+    subspaces = all_subspaces_with_codewords(f, n)
+    assert len(subspaces) == sum(gaussian_row(n, q))
+    vectors = list(product(f.elements(), repeat=n))
+    for s, words in subspaces:
+        assert [contains(s, v) for v in vectors] == [v in words for v in vectors], s
+    for a, words_a in subspaces:
+        assert [is_subspace_of(a, b) for b, _ in subspaces] == [
+            words_a <= words_b for _, words_b in subspaces
+        ], a
