@@ -63,16 +63,75 @@ class CensusReport:
     chain_condition_total: int
 
 
-# SHARED_SLACK stands for the fixed set-up of the per-code path (the code
-# object, the closure of its support, the subcode count), counted in ideals
-# of P.  The shared replay costs one table lookup per lattice edge and a
-# chain search per distinct m-profile: about 0.3-1 µs per ideal.  Measured
-# per code (best of 5, three runs) with Python 3.11 on a shared 2-vCPU VM,
-# shared vs per code: chain(6) at q = 3, r = 2: 2.2-3.6 vs 42-58 µs; a
-# 5-element height-2 poset with 15 ideals at q = 2, r = 3: 14-15 vs 89-92 µs;
-# antichain(7) (128 ideals) at q = 2: r = 1 34-57 vs 16-24 µs, r = 4 53-79
-# vs 204-267 µs, r = 5 75-99 vs 351-468 µs.
-SHARED_SLACK = 16
+THEOREM, REPLAY, PER_CODE = "theorem", "replay", "per-code"
+
+# Dimension r replays the shared record when P has at most
+# REPLAY_RATIO * (sum_j [r j]_q + SHARED_SLACK) ideals.  A code analyzed on
+# its own walks at most sum_j [r j]_q ideals or subcodes, SHARED_SLACK is its
+# fixed set-up (the code object, the closure of its support) in the same
+# units, and a replayed ideal costs about 1/REPLAY_RATIO of one of them.
+# Measured per code, replay vs per code (best of 3-5 runs, Python 3.11, a
+# shared 2-vCPU VM; at most 6,000 codes per point, spread evenly over the
+# enumeration):
+# - antichain(7), 128 ideals, q = 2: r = 2 35 vs 35 µs, r = 3 39 vs 72 µs,
+#   r = 4 47 vs 186 µs, r = 5 72 vs 344 µs; at q = 3, 4, 5: r = 2 25-30 vs
+#   41-43 µs, r = 3 45-48 vs 88-159 µs;
+# - antichain(8), 256 ideals, q = 2: r = 2 74 vs 44 µs, r = 3 75 vs 69 µs,
+#   r = 4 76 vs 170 µs; at q = 4, 5: r = 2 57-93 vs 41-54 µs;
+# - antichain(9), 512 ideals, q = 2: r = 2 117 vs 40 µs, r = 3 150 vs 85 µs,
+#   r = 4 147 vs 192 µs;
+# - height-2 posets on 4-5 elements, 9-18 ideals, q <= 4: 4-11 vs 36-77 µs at
+#   r = 2 and 3; on 6-8 elements, 36-128 ideals, q <= 3: replay 1.0-14 times
+#   as fast at every r from 2 to n - 2.
+# The limits 128, 216 and 624 of r = 2, 3, 4 at q = 2 pick the faster path at
+# every point (antichain(7) at r = 2 is a tie).
+SHARED_SLACK = 12
+REPLAY_RATIO = 8
+
+
+def _replay_limit(q: int, r: int) -> int:
+    """The most ideals of P at which dimension r replays the shared record."""
+    return REPLAY_RATIO * (sum(gaussian_row(r, q)[1:]) + SHARED_SLACK)
+
+
+def _census_path(n: int, q: int, r: int, ideals: int | None) -> str:
+    """How ``census`` counts the chain-condition codes of dimension r in
+    GF(q)^n on a poset P with ``ideals`` ideals (None: more than the walk
+    limit, or not walked).
+
+    THEOREM for r in {1, n - 1, n}: every such code satisfies the chain
+    condition, so the count is [n r]_q.  A code of dimension 1 is its own
+    flag, and the full space has the flag of the coordinate spaces of the
+    ideals along a linear extension.  For r = n - 1 the condition is
+    self-dual: C satisfies it on P iff C⊥ satisfies it on the reversed poset
+    P̄, and C⊥ has dimension 1.  Write m(J) = dim(C ∩ F^J) and let
+    d_1 < .. < d_k be the hierarchy of C.
+    - C satisfies the condition iff some maximal ideal chain
+      J_0 ⊂ J_1 ⊂ .. ⊂ J_n (|J_t| = t) has m jumping exactly at t = d_1,
+      .., d_k.  m rises by at most 1 per step and is below r on every
+      ideal smaller than d_r, so m jumps exactly at the d_r on any maximal
+      chain through the closures I_1 ⊆ .. ⊆ I_k of a flag, where
+      m(I_r) = r.  Conversely, such a chain has m(J_{d_r}) = r, so J_{d_r}
+      is in the level L_r, and these ideals form a chain through the levels.
+    - The complements K_s = J_{n-s}^c form a maximal ideal chain of P̄.
+      C⊥ ∩ F^{J^c} is the annihilator of the projection of C onto J^c,
+      whose kernel is C ∩ F^J, so
+      m⊥(K_s) = s - (k - m(J_{n-s})).  Hence m⊥ jumps at s exactly when m
+      does not jump at t = n + 1 - s.
+    - By Moura and Firer ("Duality for poset codes", IEEE Trans. Inf.
+      Theory 56(7), 2010), the values n + 1 - t, t not among the d_r, are
+      the hierarchy of C⊥ on P̄, so the chain K satisfies the condition for
+      C⊥.  The converse is the same argument for C⊥ on P̄, since C⊥⊥ = C and
+      the reverse of P̄ is P.
+
+    REPLAY through ``_shared_census`` when ``ideals`` is at most
+    ``_replay_limit(q, r)``.  PER_CODE through ``analyze_code`` otherwise.
+    """
+    if r in (1, n - 1, n):
+        return THEOREM
+    if ideals is not None and ideals <= _replay_limit(q, r):
+        return REPLAY
+    return PER_CODE
 
 
 def _census_sizes(n: int, q: int, max_dim: int | None, budget: int | None):
@@ -104,28 +163,36 @@ def census(
 ) -> CensusReport:
     """Run the chain-condition check on every nonzero subspace up to max_dim.
 
-    Subspaces come from the canonical enumeration, so each code is counted
-    exactly once.  The ideals of P are walked once, and a code counts when
-    its levels have a chain.  Dimension r replays that record for each of
-    its codes when P has at most sum_j [r j]_q + SHARED_SLACK ideals
-    (sum_j [r j]_q bounds the ideals each code would walk on its own), and
-    otherwise analyzes each code on its own.
+    ``_census_path`` picks one of three paths for each dimension r.
+    Dimensions 1, n - 1 and n are decided by theorem: all [n r]_q codes
+    count, and none is enumerated.  Otherwise the codes come from the
+    canonical enumeration, so each is counted exactly once, and a code
+    counts when its levels have a chain.  They replay one shared record of
+    the ideals of P when P has few enough ideals, and are analyzed one by
+    one otherwise.  The ideals are walked only when some dimension can
+    replay, and the walk stops past the largest replay limit of those
+    dimensions or past the census total, so it stays under ``budget``.
+    The per-code path never raises inside a census: a code of dimension r
+    has sum_{j<=r} [r j]_q <= sum_{j<=r} [n j]_q subcodes, at most the
+    census total, which is within ``budget``.
     """
     n = p.n
     field, per_total = _census_sizes(n, q, max_dim, budget)
-    max_dim = len(per_total)
-    thresholds = [sum(gaussian_row(r, q)[1:]) + SHARED_SLACK for r in range(1, max_dim + 1)]
-    full = (1 << n) - 1
-    walk = _ideal_walk(p, full, min(sum(per_total), thresholds[-1]) if thresholds else 0)
-    if walk is not None:
-        masks = list(_walk_ideals(full, walk))
-        lattice = masks, [mask.bit_count() for mask in masks], *walk
+    dims = range(1, len(per_total) + 1)
+    limit = max(
+        (_replay_limit(q, r) for r in dims if _census_path(n, q, r, None) != THEOREM), default=0
+    )
+    lattice = _shared_lattice(p, min(sum(per_total), limit)) if limit else None
+    ideals = None if lattice is None else len(lattice[0])
     per_chain = []
-    for r, threshold in zip(range(1, max_dim + 1), thresholds):
-        forms = _rref_canonical_forms(field, r, n)
-        if walk is not None and len(walk[0]) <= threshold:
-            satisfied = _shared_census(field, r, forms, lattice)
+    for r, total in zip(dims, per_total):
+        path = _census_path(n, q, r, ideals)
+        if path == THEOREM:
+            satisfied = total
+        elif path == REPLAY:
+            satisfied = _shared_census(field, r, _rref_canonical_forms(field, r, n), lattice)
         else:
+            forms = _rref_canonical_forms(field, r, n)
             codes = (LinearCode(p, Subspace._trusted(field, n, form)) for form in forms)
             satisfied = sum(bool(analyze_code(c, budget).flag_count) for c in codes)
         per_chain.append(satisfied)
@@ -133,11 +200,22 @@ def census(
         poset=p,
         q=q,
         n=n,
-        max_dim=max_dim,
+        max_dim=len(per_total),
         per_dim_total=tuple(per_total),
         per_dim_chain=tuple(per_chain),
         chain_condition_total=sum(per_chain),
     )
+
+
+def _shared_lattice(p: Poset, limit: int):
+    """The mask, size, depth and removed element of every ideal of P, from
+    one walk, or None once more than ``limit`` ideals exist."""
+    full = (1 << p.n) - 1
+    walk = _ideal_walk(p, full, limit)
+    if walk is None:
+        return None
+    masks = list(_walk_ideals(full, walk))
+    return masks, [mask.bit_count() for mask in masks], *walk
 
 
 def _shared_census(field, r: int, forms, lattice) -> int:

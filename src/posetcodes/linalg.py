@@ -170,6 +170,8 @@ class Subspace:
         return s
 
     def __post_init__(self):
+        # rows given as lists compare and hash as the tuples of the RREF
+        object.__setattr__(self, "basis", tuple(tuple(row) for row in self.basis))
         for row in self.basis:
             if len(row) != self.n:
                 raise LengthMismatch(f"basis row of length {len(row)}, ambient is {self.n}")
@@ -222,6 +224,8 @@ def contains(s: Subspace, v) -> bool:
     v = tuple(int(e) for e in v)
     if len(v) != s.n:
         raise LengthMismatch(f"vector of length {len(v)}, ambient is {s.n}")
+    for e in v:
+        s.field.validate(e)
     return len(_rref_rows(s.field, (*s.basis, v), s.n)[0]) == s.dim
 
 

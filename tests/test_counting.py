@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +11,7 @@ from posetcodes import (
     ChainPartition,
     InputError,
     LinearCode,
+    Poset,
     RangeError,
     antichain,
     census,
@@ -27,6 +28,7 @@ from posetcodes import (
 )
 from posetcodes import counting
 from posetcodes.codes import _ideal_walk, analyze_code
+from posetcodes.linalg import _rref_canonical_forms
 from posetcodes.random_instances import POSET_FAMILIES, random_poset
 from conftest import random_bipartite
 
@@ -214,9 +216,13 @@ class TestSharedLattice:
         rep = census(antichain(12), 2, max_dim=1)
         assert rep.per_dim_chain == (4095,)
         assert replays == []
-        # each code of antichain(7) at r <= 4 walks at most sum_j [r j]_2 <= 66
-        # ideals on its own, against the 128 of the shared record; a stub
-        # stands in for the 26,416 analyses
+        # antichain(8) has 256 ideals: more than the replay limits of r = 2
+        # and 3 at q = 2 (128 and 216), within that of r = 4 (624); a stub
+        # stands in for the 10,795 analyses at r = 2
+        ideals = ideal_count(antichain(8))
+        paths = [counting._census_path(8, 2, r, ideals) for r in range(1, 9)]
+        theorem, replay, per_code = counting.THEOREM, counting.REPLAY, counting.PER_CODE
+        assert paths == [theorem, per_code, per_code, replay, replay, replay, theorem, theorem]
         analyzed = []
 
         def stub(c, budget):
@@ -224,9 +230,9 @@ class TestSharedLattice:
             return SimpleNamespace(flag_count=1)
 
         monkeypatch.setattr(counting, "analyze_code", stub)
-        rep = census(antichain(7), 2, max_dim=4)
+        rep = census(antichain(8), 2, max_dim=2)
         assert replays == []
-        assert len(analyzed) == sum(rep.per_dim_total) == 26_416
+        assert analyzed == [2] * rep.per_dim_total[1] == [2] * 10_795
         assert rep.per_dim_chain == rep.per_dim_total
 
     @pytest.mark.parametrize(
@@ -238,13 +244,39 @@ class TestSharedLattice:
             p = from_cover_relations(n, covers)
             replays.clear()
             rep = census(p, q)
-            # r = 1 shares up to 1 + 16 ideals, and r >= 2 up to 4 + 16 or more
-            ideals = ideal_count(p)
-            first = 1 if ideals <= 17 else 2
-            assert sorted(set(replays)) == list(range(first, n + 1)), covers
-            assert len(replays) == sum(rep.per_dim_total[first - 1 :])
-            # only one bottom element below all three tops gives 1 + 8 + 1 + 8
-            assert ideals <= 17 or covers in (((1, 3), (1, 4), (1, 5)), ((2, 3), (2, 4), (2, 5)))
+            # dimensions 1, n - 1 and n are decided by theorem, every other
+            # one replays
+            assert sorted(set(replays)) == list(range(2, n - 1)), covers
+            assert len(replays) == sum(rep.per_dim_total[1 : n - 2])
+            assert 9 <= ideal_count(p) <= 18, covers
+
+    def test_sweep_shaped_posets_replay_every_dimension_short_of_a_theorem(self):
+        # height-2 posets on 4 or 5 elements have 9-18 ideals
+        for n, q, ideals in product((4, 5), (2, 3, 4), range(9, 19)):
+            paths = [counting._census_path(n, q, r, ideals) for r in range(1, n + 1)]
+            middle = [counting.REPLAY] * (n - 3)
+            assert paths == [counting.THEOREM, *middle, counting.THEOREM, counting.THEOREM]
+
+    def test_only_a_dimension_that_can_replay_walks_the_ideals(self, monkeypatch):
+        limits = []
+        walk = counting._ideal_walk
+
+        def recorded(p, top, limit):
+            limits.append(limit)
+            return walk(p, top, limit)
+
+        monkeypatch.setattr(counting, "_ideal_walk", recorded)
+        assert census(antichain(20), 2, max_dim=1).per_dim_chain == (2**20 - 1,)
+        for p in (chain(3), antichain(3), weak_order([1, 2]), antichain(2), chain(1)):
+            rep = census(p, 2)
+            assert rep.per_dim_chain == rep.per_dim_total
+        assert limits == []
+        # antichain(6) at q = 2: r = 2, 3, 4 can replay, and the largest
+        # limit, 8 * (66 + 12) at r = 4, is below the 2,825 codes
+        census(antichain(6), 2)
+        assert limits == [624]
+        census(antichain(6), 2, max_dim=3)
+        assert limits == [624, counting._replay_limit(2, 3)] == [624, 216]
 
     def test_every_height_two_poset_on_five_elements_matches_the_per_code_census(self):
         # two minimal elements under three maximal ones, with three covers
@@ -267,18 +299,70 @@ class TestSharedLattice:
             return result
 
         monkeypatch.setattr(counting, "_rref_rows", recorded)
-        for p in (antichain(3), chain(3), weak_order([1, 2])):
+        # element 4 is maximal in each poset
+        for p in (antichain(4), chain(4), weak_order([1, 3])):
             spans.clear()
             rep = census(p, q, budget=None)
-            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, 3)
+            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, 4)
             states = Counter(r for r, _ in spans)
-            # every dimension replays; a state is a subspace of F_q^r
-            assert sorted(states) == [1, 2, 3]
+            # only r = 2 replays; a state is a subspace of F_q^r
+            assert sorted(states) == [2]
             for r, count in states.items():
                 assert count <= sum(gaussian_row(r, q)[1:]), (p, r)
-            # each line of F_q^2 is the last column of some 2 x 3 form, so r = 2
+            # each line of F_q^2 is the last column of some 2 x 4 form, so r = 2
             # meets every nonzero subspace: no two of them share a state
             assert states[2] == q + 2
+
+    @pytest.mark.parametrize("q", (2, 3, 4))
+    def test_the_replay_counts_every_code_at_the_theorem_dimensions(self, q):
+        # census takes [n r]_q for r in {1, n - 1, n} without a replay; the
+        # replay must agree
+        field = GF(q)
+        rng = random.Random(f"theorem:{q}")
+        for family in (*POSET_FAMILIES, "bipartite"):
+            for _ in range(3):
+                n = rng.randint(1, 6)
+                p = random_bipartite(rng, n) if family == "bipartite" else random_poset(rng, family, n)
+                lattice = counting._shared_lattice(p, 1 << n)
+                for r in sorted({1, n - 1, n} - {0}):
+                    assert counting._census_path(n, q, r, len(lattice[0])) == counting.THEOREM
+                    forms = _rref_canonical_forms(field, r, n)
+                    where = f"{family} n={n} r={r} covers={p.covers()}"
+                    assert counting._shared_census(field, r, forms, lattice) == (
+                        gaussian_binomial(n, r, q)
+                    ), where
+
+
+def reversed_poset(p):
+    """P̄, the order of P turned upside down: its down-sets are the up-sets of P."""
+    return Poset(p.n, p._up)
+
+
+# q -> largest n of the drawn posets
+DUAL_CENSUS_N = {2: 6, 3: 5}
+
+
+@pytest.mark.parametrize("q", DUAL_CENSUS_N)
+def test_census_is_self_dual(q):
+    # C satisfies the chain condition on P iff C⊥ does on P̄, and C ↦ C⊥ maps
+    # the codes of dimension r one-to-one onto those of dimension n - r
+    rng = random.Random(f"dual census:{q}")
+    posets = []
+    for family in (*POSET_FAMILIES, "bipartite"):
+        for _ in range(3):
+            n = rng.randint(4, DUAL_CENSUS_N[q])
+            posets.append(
+                random_bipartite(rng, n) if family == "bipartite" else random_poset(rng, family, n)
+            )
+    if q == 2:
+        # one element below four others, and two more: 11,795 of its binary
+        # codes of dimension 3 satisfy the condition and 11,771 of dimension
+        # 4, so taking P for P̄ fails here
+        posets.append(from_cover_relations(7, [(1, 2), (1, 3), (1, 4), (1, 5)]))
+    for p in posets:
+        counts = census(p, q, budget=None).per_dim_chain[:-1]
+        dual = census(reversed_poset(p), q, budget=None).per_dim_chain[:-1]
+        assert counts == dual[::-1], f"n={p.n} covers={p.covers()}"
 
 
 class TestPartitionFormat:

@@ -142,6 +142,13 @@ class TestContainment:
         with pytest.raises(FieldMismatch):
             is_subspace_of(span(f2, 2, [(1, 0)]), span(GF(3), 2, [(1, 0)]))
 
+    def test_entries_outside_the_field_are_range_errors(self):
+        s = span(GF(4), 3, [(1, 2, 3)])
+        for v in ((7, 0, 0), (0, -1, 0), (4, 0, 0)):
+            with pytest.raises(RangeError):
+                contains(s, v)
+        assert contains(s, (2, 3, 1))
+
 
 class TestEnumeration:
     def test_dimension_zero(self, f2):
@@ -279,6 +286,14 @@ class TestGaussianRow:
             gaussian_row(-1, 2)
         with pytest.raises(RangeError):
             gaussian_row(3, 1)
+
+
+def test_subspace_takes_list_rows_as_tuples(f2):
+    s = Subspace(f2, 2, [[1, 0]])
+    assert s == span(f2, 2, [(1, 0)])
+    assert hash(s) == hash(span(f2, 2, [(1, 0)]))
+    assert s.basis == ((1, 0),)
+    assert Subspace(GF(3), 3, [[1, 0, 2], [0, 1, 1]]) == span(GF(3), 3, [(1, 0, 2), (0, 1, 1)])
 
 
 def test_subspace_rejects_non_rref(f2):
