@@ -66,32 +66,28 @@ class CensusReport:
 THEOREM, REPLAY, PER_CODE = "theorem", "replay", "per-code"
 
 # Dimension r replays the shared record when P has at most
-# REPLAY_RATIO * (sum_j [r j]_q + SHARED_SLACK) ideals.  A code analyzed on
-# its own walks at most sum_j [r j]_q ideals or subcodes, SHARED_SLACK is its
-# fixed set-up (the code object, the closure of its support) in the same
-# units, and a replayed ideal costs about 1/REPLAY_RATIO of one of them.
-# Measured per code, replay vs per code (best of 3-5 runs, Python 3.11, a
-# shared 2-vCPU VM; at most 6,000 codes per point, spread evenly over the
-# enumeration):
-# - antichain(7), 128 ideals, q = 2: r = 2 35 vs 35 µs, r = 3 39 vs 72 µs,
-#   r = 4 47 vs 186 µs, r = 5 72 vs 344 µs; at q = 3, 4, 5: r = 2 25-30 vs
-#   41-43 µs, r = 3 45-48 vs 88-159 µs;
-# - antichain(8), 256 ideals, q = 2: r = 2 74 vs 44 µs, r = 3 75 vs 69 µs,
-#   r = 4 76 vs 170 µs; at q = 4, 5: r = 2 57-93 vs 41-54 µs;
-# - antichain(9), 512 ideals, q = 2: r = 2 117 vs 40 µs, r = 3 150 vs 85 µs,
-#   r = 4 147 vs 192 µs;
-# - height-2 posets on 4-5 elements, 9-18 ideals, q <= 4: 4-11 vs 36-77 µs at
-#   r = 2 and 3; on 6-8 elements, 36-128 ideals, q <= 3: replay 1.0-14 times
-#   as fast at every r from 2 to n - 2.
-# The limits 128, 216 and 624 of r = 2, 3, 4 at q = 2 pick the faster path at
-# every point (antichain(7) at r = 2 is a tie).
-SHARED_SLACK = 12
-REPLAY_RATIO = 8
+# REPLAY_RATIO * sum_j [r j]_q ideals: a code analyzed on its own walks at most
+# sum_j [r j]_q ideals or subcodes, and a replayed ideal costs about
+# 1/REPLAY_RATIO of one of them.  Measured per code, replay vs per code (best of
+# 2-5 runs on 1,500 uniformly drawn codes, Python 3.11, a shared 2-vCPU VM):
+# - antichain(6) and (7), 64 and 128 ideals, r = 3 at q <= 4 and r = 4 at
+#   q <= 3: 34-80 vs 101-392 µs;
+# - antichain(8), 256 ideals: q = 2, r = 3 92 vs 93 µs, r = 4 114 vs 222 µs,
+#   r = 5 171 vs 866 µs; q = 3 and 4, r = 3 95-105 vs 142 µs;
+# - antichain(9), 512 ideals: q = 2, r = 3 182 vs 138 µs, r = 4 168 vs 218 µs;
+#   r = 3 at q = 3 164 vs 151 µs, at q = 4 169 vs 197 µs;
+# - antichain(10), 1024 ideals, q = 2: r = 3 377 vs 140 µs, r = 4 325 vs 221 µs;
+# - chain(8), chain(9), weak_order([2, 3, 3]) and weak_order([3, 3, 3]), 9-22
+#   ideals, q <= 3, r = 3 and 4: 6-63 vs 69-173 µs.
+# The limits 210 and 924 of r = 3 and 4 at q = 2, and 378 and 602 of r = 3 at
+# q = 3 and 4, pick the faster path at every point (antichain(8) at q = 2 and
+# r = 3 is a tie).
+REPLAY_RATIO = 14
 
 
 def _replay_limit(q: int, r: int) -> int:
     """The most ideals of P at which dimension r replays the shared record."""
-    return REPLAY_RATIO * (sum(gaussian_row(r, q)[1:]) + SHARED_SLACK)
+    return REPLAY_RATIO * sum(gaussian_row(r, q)[1:])
 
 
 def _census_path(n: int, q: int, r: int, ideals: int | None) -> str:
@@ -99,12 +95,14 @@ def _census_path(n: int, q: int, r: int, ideals: int | None) -> str:
     GF(q)^n on a poset P with ``ideals`` ideals (None: more than the walk
     limit, or not walked).
 
-    THEOREM for r in {1, n - 1, n}: every such code satisfies the chain
+    THEOREM for r <= 2 or r >= n - 2: every such code satisfies the chain
     condition, so the count is [n r]_q.  A code of dimension 1 is its own
     flag, and the full space has the flag of the coordinate spaces of the
-    ideals along a linear extension.  For r = n - 1 the condition is
-    self-dual: C satisfies it on P iff C⊥ satisfies it on the reversed poset
-    P̄, and C⊥ has dimension 1.  Write m(J) = dim(C ∩ F^J) and let
+    ideals along a linear extension.  A code C of dimension 2 has the flag
+    D_1 ⊂ C for D_1 any line of C of least weight: w(D_1) = d_1, and
+    w(C) = d_2.  For r = n - 1 and n - 2 the condition is self-dual: C
+    satisfies it on P iff C⊥ satisfies it on the reversed poset P̄, and C⊥
+    has dimension 1 or 2.  Write m(J) = dim(C ∩ F^J) and let
     d_1 < .. < d_k be the hierarchy of C.
     - C satisfies the condition iff some maximal ideal chain
       J_0 ⊂ J_1 ⊂ .. ⊂ J_n (|J_t| = t) has m jumping exactly at t = d_1,
@@ -127,7 +125,7 @@ def _census_path(n: int, q: int, r: int, ideals: int | None) -> str:
     REPLAY through ``_shared_census`` when ``ideals`` is at most
     ``_replay_limit(q, r)``.  PER_CODE through ``analyze_code`` otherwise.
     """
-    if r in (1, n - 1, n):
+    if r <= 2 or r >= n - 2:
         return THEOREM
     if ideals is not None and ideals <= _replay_limit(q, r):
         return REPLAY
@@ -164,8 +162,8 @@ def census(
     """Run the chain-condition check on every nonzero subspace up to max_dim.
 
     ``_census_path`` picks one of three paths for each dimension r.
-    Dimensions 1, n - 1 and n are decided by theorem: all [n r]_q codes
-    count, and none is enumerated.  Otherwise the codes come from the
+    Dimensions 1, 2, n - 2, n - 1 and n are decided by theorem: all [n r]_q
+    codes count, and none is enumerated.  Otherwise the codes come from the
     canonical enumeration, so each is counted exactly once, and a code
     counts when its levels have a chain.  They replay one shared record of
     the ideals of P when P has few enough ideals, and are analyzed one by

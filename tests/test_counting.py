@@ -17,6 +17,7 @@ from posetcodes import (
     census,
     chain,
     chain_condition_lower_bound,
+    disjoint_chains,
     enumerate_subspaces,
     from_cover_relations,
     full_space,
@@ -168,6 +169,16 @@ def census_per_code(p, q, max_dim):
     return tuple(per_total), tuple(per_chain)
 
 
+def replayed_census(p, q, max_dim):
+    """Per-dimension chain-condition codes, every dimension replayed."""
+    field = GF(q)
+    lattice = counting._shared_lattice(p, 1 << p.n)
+    return tuple(
+        counting._shared_census(field, r, _rref_canonical_forms(field, r, p.n), lattice)
+        for r in range(1, max_dim + 1)
+    )
+
+
 def ideal_count(p):
     return len(_ideal_walk(p, (1 << p.n) - 1, 1 << p.n)[0])
 
@@ -210,19 +221,22 @@ class TestSharedLattice:
                 max_dim -= 1
             rep = census(p, q, max_dim, budget=None)
             where = f"{family} q={q} n={n} max_dim={max_dim} covers={p.covers()}"
-            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, max_dim), where
+            counts = census_per_code(p, q, max_dim)
+            assert (rep.per_dim_total, rep.per_dim_chain) == counts, where
+            # the replay on its own, at the dimensions census decides otherwise too
+            assert replayed_census(p, q, max_dim) == counts[1], where
 
     def test_wide_posets_at_low_dimension_analyze_each_code(self, replays, monkeypatch):
         rep = census(antichain(12), 2, max_dim=1)
         assert rep.per_dim_chain == (4095,)
         assert replays == []
-        # antichain(8) has 256 ideals: more than the replay limits of r = 2
-        # and 3 at q = 2 (128 and 216), within that of r = 4 (624); a stub
-        # stands in for the 10,795 analyses at r = 2
+        # antichain(8) has 256 ideals: more than the replay limit of r = 3 at
+        # q = 2 (210), within those of r = 4 and 5 (924 and 5,222); a stub
+        # stands in for the 97,155 analyses at r = 3
         ideals = ideal_count(antichain(8))
         paths = [counting._census_path(8, 2, r, ideals) for r in range(1, 9)]
         theorem, replay, per_code = counting.THEOREM, counting.REPLAY, counting.PER_CODE
-        assert paths == [theorem, per_code, per_code, replay, replay, replay, theorem, theorem]
+        assert paths == [theorem, theorem, per_code, replay, replay, theorem, theorem, theorem]
         analyzed = []
 
         def stub(c, budget):
@@ -230,13 +244,13 @@ class TestSharedLattice:
             return SimpleNamespace(flag_count=1)
 
         monkeypatch.setattr(counting, "analyze_code", stub)
-        rep = census(antichain(8), 2, max_dim=2)
+        rep = census(antichain(8), 2, max_dim=3)
         assert replays == []
-        assert analyzed == [2] * rep.per_dim_total[1] == [2] * 10_795
+        assert analyzed == [3] * rep.per_dim_total[2] == [3] * 97_155
         assert rep.per_dim_chain == rep.per_dim_total
 
     @pytest.mark.parametrize(
-        "n, bottom, relations, q", ((4, 2, 2, 3), (4, 2, 2, 4), (5, 2, 3, 2))
+        "n, bottom, relations, q", ((6, 1, 2, 2), (6, 2, 1, 2), (6, 1, 5, 2))
     )
     def test_small_posets_replay_the_shared_record(self, replays, n, bottom, relations, q):
         grid = [(a, b) for a in range(1, bottom + 1) for b in range(bottom + 1, n + 1)]
@@ -244,18 +258,26 @@ class TestSharedLattice:
             p = from_cover_relations(n, covers)
             replays.clear()
             rep = census(p, q)
-            # dimensions 1, n - 1 and n are decided by theorem, every other
-            # one replays
-            assert sorted(set(replays)) == list(range(2, n - 1)), covers
-            assert len(replays) == sum(rep.per_dim_total[1 : n - 2])
-            assert 9 <= ideal_count(p) <= 18, covers
+            # dimensions 1, 2, n - 2, n - 1 and n are decided by theorem, every
+            # other one replays
+            assert sorted(set(replays)) == list(range(3, n - 2)), covers
+            assert len(replays) == sum(rep.per_dim_total[2 : n - 3])
+            assert 33 <= ideal_count(p) <= 48, covers
 
     def test_sweep_shaped_posets_replay_every_dimension_short_of_a_theorem(self):
-        # height-2 posets on 4 or 5 elements have 9-18 ideals
-        for n, q, ideals in product((4, 5), (2, 3, 4), range(9, 19)):
-            paths = [counting._census_path(n, q, r, ideals) for r in range(1, n + 1)]
-            middle = [counting.REPLAY] * (n - 3)
-            assert paths == [counting.THEOREM, *middle, counting.THEOREM, counting.THEOREM]
+        theorem, replay = counting.THEOREM, counting.REPLAY
+        # on at most 5 elements every dimension is a theorem dimension, whatever
+        # the ideals
+        for n, q in product(range(1, 6), (2, 3, 4)):
+            for ideals in (None, n + 1, 2**n):
+                paths = {counting._census_path(n, q, r, ideals) for r in range(1, n + 1)}
+                assert paths == {theorem}, (n, q, ideals)
+        # a poset on 6 or 7 elements has at most 2^7 = 128 ideals, within the
+        # replay limits of r = 3 and 4 at every q (210 at q = 2, r = 3)
+        for n, q in product((6, 7), (2, 3, 4)):
+            for ideals in range(n + 1, 2**n + 1):
+                paths = [counting._census_path(n, q, r, ideals) for r in range(1, n + 1)]
+                assert paths == [theorem] * 2 + [replay] * (n - 5) + [theorem] * 3
 
     def test_only_a_dimension_that_can_replay_walks_the_ideals(self, monkeypatch):
         limits = []
@@ -267,16 +289,22 @@ class TestSharedLattice:
 
         monkeypatch.setattr(counting, "_ideal_walk", recorded)
         assert census(antichain(20), 2, max_dim=1).per_dim_chain == (2**20 - 1,)
-        for p in (chain(3), antichain(3), weak_order([1, 2]), antichain(2), chain(1)):
-            rep = census(p, 2)
-            assert rep.per_dim_chain == rep.per_dim_total
+        # no census on a poset with n <= 5 walks an ideal
+        fives = (antichain(5), weak_order([2, 3]), from_cover_relations(5, [(1, 3), (2, 4)]))
+        for p in (chain(3), antichain(3), weak_order([1, 2]), antichain(2), chain(1), *fives):
+            for q in (2, 3):
+                rep = census(p, q)
+                assert rep.per_dim_chain == rep.per_dim_total
+        assert census(antichain(7), 2, max_dim=2).per_dim_chain == (127, 2667)
         assert limits == []
-        # antichain(6) at q = 2: r = 2, 3, 4 can replay, and the largest
-        # limit, 8 * (66 + 12) at r = 4, is below the 2,825 codes
-        census(antichain(6), 2)
-        assert limits == [624]
-        census(antichain(6), 2, max_dim=3)
-        assert limits == [624, counting._replay_limit(2, 3)] == [624, 216]
+        # antichain(7) at q = 2: r = 3 and 4 can replay, and the largest limit,
+        # 14 * 66 at r = 4, is below the 29,211 codes; a stub stands in for
+        # the replays
+        monkeypatch.setattr(counting, "_shared_census", lambda field, r, forms, lattice: 0)
+        census(antichain(7), 2)
+        assert limits == [924]
+        census(antichain(7), 2, max_dim=3)
+        assert limits == [924, counting._replay_limit(2, 3)] == [924, 210]
 
     def test_every_height_two_poset_on_five_elements_matches_the_per_code_census(self):
         # two minimal elements under three maximal ones, with three covers
@@ -299,38 +327,53 @@ class TestSharedLattice:
             return result
 
         monkeypatch.setattr(counting, "_rref_rows", recorded)
+        field = GF(q)
+        # census decides r = 2 by theorem, so the replay is called directly;
         # element 4 is maximal in each poset
         for p in (antichain(4), chain(4), weak_order([1, 3])):
             spans.clear()
-            rep = census(p, q, budget=None)
-            assert (rep.per_dim_total, rep.per_dim_chain) == census_per_code(p, q, 4)
+            lattice = counting._shared_lattice(p, 1 << p.n)
+            forms = _rref_canonical_forms(field, 2, 4)
+            assert counting._shared_census(field, 2, forms, lattice) == gaussian_binomial(4, 2, q)
             states = Counter(r for r, _ in spans)
-            # only r = 2 replays; a state is a subspace of F_q^r
+            # a state is a subspace of F_q^2
             assert sorted(states) == [2]
-            for r, count in states.items():
-                assert count <= sum(gaussian_row(r, q)[1:]), (p, r)
+            assert states[2] <= sum(gaussian_row(2, q)[1:]), p
             # each line of F_q^2 is the last column of some 2 x 4 form, so r = 2
             # meets every nonzero subspace: no two of them share a state
             assert states[2] == q + 2
 
     @pytest.mark.parametrize("q", (2, 3, 4))
     def test_the_replay_counts_every_code_at_the_theorem_dimensions(self, q):
-        # census takes [n r]_q for r in {1, n - 1, n} without a replay; the
-        # replay must agree
+        # census takes [n r]_q for r in {1, 2, n - 2, n - 1, n} without a
+        # replay; the replay must agree, on dimensions of at most 6,000 codes
         field = GF(q)
         rng = random.Random(f"theorem:{q}")
+        checked = set()
         for family in (*POSET_FAMILIES, "bipartite"):
             for _ in range(3):
                 n = rng.randint(1, 6)
                 p = random_bipartite(rng, n) if family == "bipartite" else random_poset(rng, family, n)
                 lattice = counting._shared_lattice(p, 1 << n)
-                for r in sorted({1, n - 1, n} - {0}):
+                for r in sorted({1, 2, n - 2, n - 1, n} & set(range(1, n + 1))):
                     assert counting._census_path(n, q, r, len(lattice[0])) == counting.THEOREM
+                    codes = gaussian_binomial(n, r, q)
+                    if codes > 6000:
+                        continue
                     forms = _rref_canonical_forms(field, r, n)
                     where = f"{family} n={n} r={r} covers={p.covers()}"
-                    assert counting._shared_census(field, r, forms, lattice) == (
-                        gaussian_binomial(n, r, q)
-                    ), where
+                    assert counting._shared_census(field, r, forms, lattice) == codes, where
+                    checked.add(r if 2 * r <= n else r - n)
+        # dimensions 2 and n - 2 (with n - 2 > 2) are among those checked
+        assert {2, -2} <= checked
+
+    def test_three_two_element_chains_match_the_per_code_census(self):
+        # 24 of its binary codes of dimension 3, the first dimension census
+        # searches, fail the condition
+        p = disjoint_chains(2, 3)
+        counts = census_per_code(p, 2, 6)
+        assert counts == ((63, 651, 1395, 651, 63, 1), (63, 651, 1371, 651, 63, 1))
+        assert census(p, 2).per_dim_chain == replayed_census(p, 2, 6) == counts[1]
 
 
 def reversed_poset(p):

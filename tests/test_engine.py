@@ -560,8 +560,8 @@ def test_wei_duality_across_both_paths(monkeypatch):
 # -- self-duality of the chain condition ---------------------------------------------
 #
 # C has a maximal flag under P iff C⊥ has one under P̄ (the proof is in
-# ``counting._census_path``): census counts every code of dimension n - 1 by
-# it, without enumerating one.
+# ``counting._census_path``): census counts every code of dimension n - 2 and
+# n - 1 by it, without enumerating one.
 
 
 def _has_flag_by_each_builder(code):
