@@ -14,13 +14,14 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .codes import _load_code, analyze_code, support_of_code
 from .counting import _census_sizes, census, chain_condition_lower_bound, load_partition
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, InputError, count_text
 from .linalg import DEFAULT_BUDGET
-from .poset import _is_int, _read_json, load_poset, poset_builder
+from .poset import _is_int, _read_json, poset_builder
 from .verify import batch_checks, instance_checks
 
 EXIT_OK = 0
@@ -137,8 +138,38 @@ def _load_expect(path):
     return expect
 
 
+def _render(value, indent=""):
+    """``json.dumps(value, indent=2)`` byte for byte, for the values a report
+    holds: dicts with string keys, lists, tuples, strings, ints, booleans and
+    None.  ``json`` falls back to its pure-Python encoder whenever ``indent``
+    is set; here only the booleans and None are left to it."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple, dict)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [
+                encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in value.items()
+            ]
+            start, end = "{", "}"
+        else:
+            # most items are ints: rendered in place, without a call
+            items = [int.__repr__(v) if type(v) is int else _render(v, inner) for v in value]
+            start, end = "[", "]"
+        # the brackets join the first and the last item, so that the items
+        # and the result are the only copies of the text held at once
+        items[0] = start + "\n" + inner + items[0]
+        items[-1] += "\n" + indent + end
+        return (",\n" + inner).join(items)
+    return json.dumps(value)
+
+
 def _emit(report, args):
-    text = json.dumps(report, indent=2)
+    text = _render(report)
     if args.out:
         args.out.write_text(text + "\n")
     else:
@@ -227,7 +258,18 @@ def _resolve_partition(args, poset):
 
 
 def _cmd_bound(args):
-    poset = load_poset(args.poset)
+    size, build = poset_builder(_read_json(args.poset))
+    pairs = size * (size - 1) // 2
+    if size > 0 and pairs > args.budget:
+        # the order masks and the chain partition's matching grow with the
+        # pairs of elements, so a size past the budget is refused first
+        raise BudgetExceeded(
+            f"{count_text(pairs)} pairs of a poset on {size} elements"
+            f" exceed the budget {args.budget}",
+            count=pairs,
+            budget=args.budget,
+        )
+    poset = build()
     partition = _resolve_partition(args, poset)
     rep = chain_condition_lower_bound(partition, args.q)
     bound = str(rep.bound)

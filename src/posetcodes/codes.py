@@ -298,32 +298,56 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
     rows, so the closures of all forms with that pivot set are the unions of
     one closure per row: a fold over the rows, with duplicates dropped.
     """
-    field, k, down, basis = c.field, c.k, c.poset._down, c.subspace.basis
-    scalars = range(1, field.q)
-    row_closures = {}
-
-    def closures_of_rows(pivot, free):
-        """Closures of the words whose coefficients are 1 at ``pivot``, any
-        value at ``free`` and zero elsewhere: one row operation per word."""
-        key = (pivot, free)
-        if key not in row_closures:
-            words = [basis[pivot]]
-            for j in free:
-                words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
-            row_closures[key] = {reduce(or_, compress(down, word), 0) for word in words}
-        return row_closures[key]
+    k = c.k
+    closures_of_rows = _row_closures(c)
 
     def records():
         for r in range(1, k + 1):
             for pivots in combinations(range(k), r):
+                taken = sum(1 << p for p in pivots)
                 unions = {0}
                 for pivot in pivots:
-                    free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
+                    # the free columns of the row: after its pivot, and no pivot
+                    free = ((1 << k) - (2 << pivot)) & ~taken
                     unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
                 for ideal in unions:
                     yield ideal, ideal.bit_count(), r
 
     return _least_ideals(k, records())
+
+
+def _row_closures(c: LinearCode):
+    """A cached call ``(pivot, free)`` -> the closures of the words whose
+    coefficients are 1 at ``pivot``, any value at the columns of the mask
+    ``free`` (all after ``pivot``) and zero elsewhere.
+
+    Those words are the words of the widest row, free at every column after
+    the pivot, whose other nonzero coefficients lie in ``free``.  So each
+    pivot's words are built once, one row operation per word on a word
+    already built, each tagged with the mask of those coefficients, and a
+    free set takes the closures whose tag lies inside it.
+    """
+    field, k, down, basis = c.field, c.k, c.poset._down, c.subspace.basis
+    scalars = range(1, field.q)
+    tagged = {}
+    row_closures = {}
+
+    def closures_of_rows(pivot, free):
+        key = (pivot, free)
+        if key not in row_closures:
+            if pivot not in tagged:
+                words, tags = [basis[pivot]], [0]
+                for j in range(pivot + 1, k):
+                    words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
+                    tags += [t | 1 << j for t in tags for a in scalars]
+                tagged[pivot] = {
+                    (tag, reduce(or_, compress(down, word), 0))
+                    for tag, word in zip(tags, words)
+                }
+            row_closures[key] = {s for tag, s in tagged[pivot] if not tag & ~free}
+        return row_closures[key]
+
+    return closures_of_rows
 
 
 def _coefficients_within(c: LinearCode, ideal: int):

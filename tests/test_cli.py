@@ -9,6 +9,8 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetcodes import cli, verify
 from posetcodes.cli import main
@@ -467,6 +469,27 @@ def test_census_reports_the_budget_before_a_cover_error(capsys, tmp_path):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_bound_refuses_a_size_past_the_budget_before_the_order_masks(capsys, tmp_path):
+    # 8,000 elements have 31,996,000 pairs, past the default budget; their
+    # order masks alone would take about 16 MB
+    path = tmp_path / "poset.json"
+    path.write_text('{"weak_order": [4000, 4000]}')
+    tracemalloc.start()
+    try:
+        status = main(["bound", "--poset", str(path), "--q", "2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 3
+    err = capsys.readouterr().err
+    assert err == f"error: 31996000 pairs of a poset on 8000 elements exceed the budget {2**24}\n"
+    assert peak < 5_000_000
+    # the budget counts the n (n - 1) / 2 pairs: 15 for six elements
+    assert main(["bound", "--poset", str(RT_POSET), "--q", "4", "--budget", "15"]) == 0
+    assert main(["bound", "--poset", str(RT_POSET), "--q", "4", "--budget", "14"]) == 3
+    assert capsys.readouterr().err == "error: 15 pairs of a poset on 6 elements exceed the budget 14\n"
+
+
 def test_console_entry_point_via_module():
     proc = subprocess.run(
         [
@@ -733,3 +756,64 @@ def test_a_terminal_stderr_gets_the_summary(capsys, monkeypatch):
     cli._emit(report, SimpleNamespace(out=None))
     assert json.loads(capsys.readouterr().out) == report
     assert terminal.getvalue().splitlines() == ["top.inner.leaf: 1", "rows: []"]
+
+
+# -- the report writer ---------------------------------------------------------------
+
+_STRINGS = st.text(max_size=6) | st.sampled_from(
+    ('"', "\\", "\n", "\t", "\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "")
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(0, 4000).flatmap(lambda d: st.integers(-(10**d), 10**d))
+    | _STRINGS
+)
+_NESTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NESTS)
+def test_render_is_json_dumps_with_indent_2(value):
+    assert cli._render(value) == json.dumps(value, indent=2)
+
+
+def test_every_report_shape_is_json_dumps_with_indent_2(capsys, monkeypatch, tmp_path):
+    reports = []
+    emit = cli._emit
+
+    def recorded(report, args):
+        reports.append(report)
+        emit(report, args)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    zero = tmp_path / "zero.txt"
+    zero.write_text("2 27 0\n")
+    runs = (
+        ["hierarchy", "--poset", WEAK, "--code", CODE27],
+        ["hierarchy", "--poset", WEAK, "--code", zero],
+        ["chain", "--poset", WEAK, "--code", CODE27],
+        ["chain", "--poset", HAMMING, "--code", CODE27],
+        ["flag", "--poset", WEAK, "--code", CODE27],
+        ["flag", "--poset", HAMMING, "--code", CODE27],
+        ["bound", "--poset", RT_POSET, "--q", "4"],
+        ["census", "--poset", CHAIN3, "--q", "2"],
+        ["census", "--poset", CHAIN3, "--q", "2", "--max-dim", "1"],
+        ["verify", "--poset", WEAK, "--code", CODE27, "--expect", EXPECT_OK],
+        ["verify", "--seed", "7", "--batch", "20", "--q", "2", "--max-n", "5"],
+    )
+    for argv in runs:
+        assert main([str(a) for a in argv]) in (0, 1)
+        out = capsys.readouterr().out
+        report = reports[-1]
+        assert out == cli._render(report) + "\n" == json.dumps(report, indent=2) + "\n", argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+    assert len(reports) == len(runs)
+    assert [r["flag"] for r in reports if "weights" in r][1] is None

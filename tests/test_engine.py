@@ -7,7 +7,9 @@ one ``analyze_code`` would pick for it.
 import random
 import tracemalloc
 from array import array
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, compress, product
+from operator import or_
 
 import pytest
 
@@ -37,6 +39,7 @@ from posetcodes.codes import (
     _coefficients_within,
     _ideal_levels,
     _ideal_walk,
+    _row_closures,
     _subcode_levels,
     _walk_ideals,
     _support_mask,
@@ -407,6 +410,28 @@ def test_wide_closures_record_no_ideal(monkeypatch, code_hamming, code_weak):
 # -- the subcode path at workload scale ---------------------------------------------
 
 
+def _fold_subcode_levels(k, closures_of_rows):
+    """Levels L_1..L_k folded from ``closures_of_rows(pivot, free)``, the
+    closures of the coefficient rows with 1 at ``pivot``, any value at the
+    columns of the tuple ``free`` and zero elsewhere (oracle)."""
+    levels = []
+    for r in range(1, k + 1):
+        best, level = None, set()
+        for pivots in combinations(range(k), r):
+            unions = {0}
+            for pivot in pivots:
+                free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
+                unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
+            for ideal in unions:
+                size = ideal.bit_count()
+                if best is None or size < best:
+                    best, level = size, {ideal}
+                elif size == best:
+                    level.add(ideal)
+        levels.append(frozenset(level))
+    return tuple(levels)
+
+
 def _combined_subcode_levels(c):
     """The subcode levels as they were built before one row operation per
     word: every coefficient row is combined from the whole basis and closed
@@ -435,22 +460,27 @@ def _combined_subcode_levels(c):
             row_closures[key] = found
         return row_closures[key]
 
-    levels = []
-    for r in range(1, k + 1):
-        best, level = None, set()
-        for pivots in combinations(range(k), r):
-            unions = {0}
-            for pivot in pivots:
-                free = tuple(j for j in range(pivot + 1, k) if j not in pivots)
-                unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
-            for ideal in unions:
-                size = ideal.bit_count()
-                if best is None or size < best:
-                    best, level = size, {ideal}
-                elif size == best:
-                    level.add(ideal)
-        levels.append(frozenset(level))
-    return tuple(levels)
+    return _fold_subcode_levels(k, closures_of_rows)
+
+
+def _per_free_set_row_closures(c):
+    """``closures_of_rows`` as it was before each pivot's words were built
+    once: the words of every (pivot, free tuple) pair are built anew, one row
+    operation per word (oracle)."""
+    field, k, down, basis = c.field, c.k, c.poset._down, c.subspace.basis
+    scalars = range(1, field.q)
+    row_closures = {}
+
+    def closures_of_rows(pivot, free):
+        key = (pivot, free)
+        if key not in row_closures:
+            words = [basis[pivot]]
+            for j in free:
+                words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
+            row_closures[key] = {reduce(or_, compress(down, word), 0) for word in words}
+        return row_closures[key]
+
+    return closures_of_rows
 
 
 def sparse_code(rng, field, p, k, density):
@@ -487,6 +517,41 @@ def test_subcode_levels_match_the_combined_rows_at_workload_scale(q):
             code = sparse_code(rng, field, p, k, rng.choice((0.15, 0.3, 0.6)))
             where = f"{family} q={q} n={n} basis={code.subspace.basis}"
             assert _subcode_levels(code) == _combined_subcode_levels(code), where
+
+
+# q -> largest k for the per-free-set oracle, which builds sum_p (q + 1)^(k-1-p)
+# words against the q^(k-1-p) words of each pivot
+PER_FREE_SET_K = {2: 6, 3: 5, 4: 4, 5: 4, 8: 3, 9: 3}
+
+
+@pytest.mark.parametrize("q", PER_FREE_SET_K)
+@pytest.mark.parametrize("family", (*POSET_FAMILIES, "bipartite"))
+def test_each_pivots_words_give_the_per_free_set_levels(family, q):
+    field = GF(q)
+    rng = random.Random(f"pivot-words:{family}:{q}")
+    for i in range(12):
+        k = 1 + i % PER_FREE_SET_K[q]
+        n = rng.randint(max(k, 4), 14)
+        p = random_bipartite(rng, n) if family == "bipartite" else random_poset(rng, family, n)
+        density = rng.choice((0.15, 0.3, None))
+        if density is None:
+            code = random_code(rng, field, p, k)
+        else:
+            code = sparse_code(rng, field, p, k, density)
+        where = f"{family} q={q} n={n} basis={code.subspace.basis}"
+        oracle = _per_free_set_row_closures(code)
+        assert _subcode_levels(code) == _fold_subcode_levels(k, oracle), where
+        # The levels cannot see a row that also takes a word with a nonzero
+        # coefficient outside its free set: such a form still spans an
+        # r-dimensional subcode, one that another form spans too.  So the
+        # closures of every row are compared as well.
+        closures_of_rows = _row_closures(code)
+        for pivot in range(k):
+            after = range(pivot + 1, k)
+            for size in range(len(after) + 1):
+                for free in combinations(after, size):
+                    mask = sum(1 << j for j in free)
+                    assert closures_of_rows(pivot, mask) == oracle(pivot, free), where
 
 
 # -- Wei duality ---------------------------------------------------------------------
