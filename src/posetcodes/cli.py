@@ -257,18 +257,22 @@ def _resolve_partition(args, poset):
     return poset.width_and_min_chain_partition()[1]
 
 
-def _cmd_bound(args):
-    size, build = poset_builder(_read_json(args.poset))
+def _check_pairs(size, budget):
+    """Refuse a positive size whose n (n - 1) / 2 pairs exceed the budget, before the
+    order masks and the chain partition's matching, which grow with the pairs, exist."""
     pairs = size * (size - 1) // 2
-    if size > 0 and pairs > args.budget:
-        # the order masks and the chain partition's matching grow with the
-        # pairs of elements, so a size past the budget is refused first
+    if size > 0 and pairs > budget:
         raise BudgetExceeded(
             f"{count_text(pairs)} pairs of a poset on {size} elements"
-            f" exceed the budget {args.budget}",
+            f" exceed the budget {budget}",
             count=pairs,
-            budget=args.budget,
+            budget=budget,
         )
+
+
+def _cmd_bound(args):
+    size, build = poset_builder(_read_json(args.poset))
+    _check_pairs(size, args.budget)
     poset = build()
     partition = _resolve_partition(args, poset)
     rep = chain_condition_lower_bound(partition, args.q)
@@ -290,9 +294,10 @@ def _cmd_bound(args):
 def _cmd_census(args):
     size, build = poset_builder(_read_json(args.poset))
     if size > 0:
-        # a poset holds about 2 n^2 bits of order masks, so the size checks
-        # come first; a non-positive size is left to the builder to report
+        # the size checks come before the order masks; past n = 1 + log2(budget)
+        # the subspace counts exceed the budget, so only --max-dim 0 meets _check_pairs
         _census_sizes(size, args.q, args.max_dim, args.budget)
+    _check_pairs(size, args.budget)
     poset = build()
     rep = census(poset, args.q, args.max_dim, args.budget)
     report = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress
+from itertools import compress
 from operator import or_
 
 from .errors import (
@@ -296,28 +296,29 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
     closure is the union of the closures of the form's rows.  For a fixed
     pivot set every row fills its free entries independently of the other
     rows, so the closures of all forms with that pivot set are the unions of
-    one closure per row: a fold over the rows, with duplicates dropped.
+    one closure per row.  A row's free entries are the non-pivots after its
+    pivot, fixed by the pivots after it, so the unions of a pivot suffix
+    serve every pivot set that ends in it.  The pivot sets are grown depth
+    first from the last pivot down, and each pivot is folded once per set
+    of later pivots: 2^k - 1 folds in all.
     """
     k = c.k
     closures_of_rows = _row_closures(c)
 
-    def records():
-        for r in range(1, k + 1):
-            for pivots in combinations(range(k), r):
-                taken = sum(1 << p for p in pivots)
-                unions = {0}
-                for pivot in pivots:
-                    # the free columns of the row: after its pivot, and no pivot
-                    free = ((1 << k) - (2 << pivot)) & ~taken
-                    unions = {u | s for u in unions for s in closures_of_rows(pivot, free)}
-                for ideal in unions:
-                    yield ideal, ideal.bit_count(), r
+    def fold(unions, taken, last):
+        for pivot in range(last):  # each pivot before the suffix ``taken``
+            # the free columns of the row: after its pivot, and no pivot
+            closures = closures_of_rows(pivot, ((1 << k) - (2 << pivot)) & ~taken)
+            grown = {u | s for u in unions for s in closures}
+            yield grown, taken.bit_count() + 1
+            yield from fold(grown, taken | 1 << pivot, pivot)
 
-    return _least_ideals(k, records())
+    records = ((ideal, ideal.bit_count(), r) for unions, r in fold({0}, 0, k) for ideal in unions)
+    return _least_ideals(k, records)
 
 
 def _row_closures(c: LinearCode):
-    """A cached call ``(pivot, free)`` -> the closures of the words whose
+    """A call ``(pivot, free)`` -> the closures of the words whose
     coefficients are 1 at ``pivot``, any value at the columns of the mask
     ``free`` (all after ``pivot``) and zero elsewhere.
 
@@ -329,23 +330,16 @@ def _row_closures(c: LinearCode):
     """
     field, k, down, basis = c.field, c.k, c.poset._down, c.subspace.basis
     scalars = range(1, field.q)
-    tagged = {}
-    row_closures = {}
+    tagged = []
+    for pivot in range(k):
+        words, tags = [basis[pivot]], [0]
+        for j in range(pivot + 1, k):
+            words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
+            tags += [t | 1 << j for t in tags for a in scalars]
+        tagged.append({(t, reduce(or_, compress(down, w), 0)) for t, w in zip(tags, words)})
 
     def closures_of_rows(pivot, free):
-        key = (pivot, free)
-        if key not in row_closures:
-            if pivot not in tagged:
-                words, tags = [basis[pivot]], [0]
-                for j in range(pivot + 1, k):
-                    words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
-                    tags += [t | 1 << j for t in tags for a in scalars]
-                tagged[pivot] = {
-                    (tag, reduce(or_, compress(down, word), 0))
-                    for tag, word in zip(tags, words)
-                }
-            row_closures[key] = {s for tag, s in tagged[pivot] if not tag & ~free}
-        return row_closures[key]
+        return {s for tag, s in tagged[pivot] if not tag & ~free}
 
     return closures_of_rows
 

@@ -69,19 +69,20 @@ THEOREM, REPLAY, PER_CODE = "theorem", "replay", "per-code"
 # REPLAY_RATIO * sum_j [r j]_q ideals: a code analyzed on its own walks at most
 # sum_j [r j]_q ideals or subcodes, and a replayed ideal costs about
 # 1/REPLAY_RATIO of one of them.  Measured per code, replay vs per code (best of
-# 2-5 runs on 1,500 uniformly drawn codes, Python 3.11, a shared 2-vCPU VM):
+# 2-5 runs on 1,500 uniformly drawn codes, Python 3.11, a shared 2-vCPU VM; *: best
+# of 4-6, re-measured once the subcode path folded each pivot suffix once):
 # - antichain(6) and (7), 64 and 128 ideals, r = 3 at q <= 4 and r = 4 at
 #   q <= 3: 34-80 vs 101-392 µs;
-# - antichain(8), 256 ideals: q = 2, r = 3 92 vs 93 µs, r = 4 114 vs 222 µs,
+# - antichain(8), 256 ideals: q = 2, r = 3 65 vs 58 µs*, r = 4 75 vs 111 µs*,
 #   r = 5 171 vs 866 µs; q = 3 and 4, r = 3 95-105 vs 142 µs;
-# - antichain(9), 512 ideals: q = 2, r = 3 182 vs 138 µs, r = 4 168 vs 218 µs;
-#   r = 3 at q = 3 164 vs 151 µs, at q = 4 169 vs 197 µs;
+# - antichain(9), 512 ideals: q = 2, r = 3 116 vs 61 µs*, r = 4 131 vs
+#   112 µs*; r = 3 at q = 3 164 vs 151 µs, at q = 4 137 vs 106 µs*;
 # - antichain(10), 1024 ideals, q = 2: r = 3 377 vs 140 µs, r = 4 325 vs 221 µs;
 # - chain(8), chain(9), weak_order([2, 3, 3]) and weak_order([3, 3, 3]), 9-22
 #   ideals, q <= 3, r = 3 and 4: 6-63 vs 69-173 µs.
 # The limits 210 and 924 of r = 3 and 4 at q = 2, and 378 and 602 of r = 3 at
-# q = 3 and 4, pick the faster path at every point (antichain(8) at q = 2 and
-# r = 3 is a tie).
+# q = 3 and 4, pick the faster path at every point but two: antichain(9) at
+# q = 2, r = 4 and at q = 4, r = 3 replay, where per code is now faster.
 REPLAY_RATIO = 14
 
 

@@ -469,6 +469,34 @@ def test_census_reports_the_budget_before_a_cover_error(capsys, tmp_path):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_census_max_dim_0_refuses_a_size_past_the_budget_before_the_order_masks(
+    capsys, tmp_path
+):
+    # --max-dim 0 passes the subspace counts at any size; 20,000 elements
+    # have 199,990,000 pairs, and their order masks would take about 100 MB
+    path = tmp_path / "poset.json"
+    path.write_text('{"chain": 20000}')
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        status = main(["census", "--poset", str(path), "--q", "2", "--max-dim", "0"])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 3
+    err = capsys.readouterr().err
+    assert err == f"error: 199990000 pairs of a poset on 20000 elements exceed the budget {2**24}\n"
+    assert elapsed < 1
+    assert peak < 5_000_000
+    # the same n (n - 1) / 2 rule as bound: 15 pairs for six elements
+    argv = ["census", "--poset", str(RT_POSET), "--q", "4", "--max-dim", "0"]
+    assert main([*argv, "--budget", "15"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--budget", "14"]) == 3
+    assert capsys.readouterr().err == "error: 15 pairs of a poset on 6 elements exceed the budget 14\n"
+
+
 def test_bound_refuses_a_size_past_the_budget_before_the_order_masks(capsys, tmp_path):
     # 8,000 elements have 31,996,000 pairs, past the default budget; their
     # order masks alone would take about 16 MB

@@ -539,19 +539,56 @@ def test_each_pivots_words_give_the_per_free_set_levels(family, q):
         else:
             code = sparse_code(rng, field, p, k, density)
         where = f"{family} q={q} n={n} basis={code.subspace.basis}"
-        oracle = _per_free_set_row_closures(code)
-        assert _subcode_levels(code) == _fold_subcode_levels(k, oracle), where
-        # The levels cannot see a row that also takes a word with a nonzero
-        # coefficient outside its free set: such a form still spans an
-        # r-dimensional subcode, one that another form spans too.  So the
-        # closures of every row are compared as well.
-        closures_of_rows = _row_closures(code)
-        for pivot in range(k):
-            after = range(pivot + 1, k)
-            for size in range(len(after) + 1):
-                for free in combinations(after, size):
-                    mask = sum(1 << j for j in free)
-                    assert closures_of_rows(pivot, mask) == oracle(pivot, free), where
+        _assert_per_free_set_levels(code, where)
+
+
+def _assert_per_free_set_levels(code, where):
+    k = code.k
+    oracle = _per_free_set_row_closures(code)
+    assert _subcode_levels(code) == _fold_subcode_levels(k, oracle), where
+    # The levels cannot see a row that also takes a word with a nonzero
+    # coefficient outside its free set: such a form still spans an
+    # r-dimensional subcode, one that another form spans too.  So the
+    # closures of every row are compared as well.
+    closures_of_rows = _row_closures(code)
+    for pivot in range(k):
+        after = range(pivot + 1, k)
+        for size in range(len(after) + 1):
+            for free in combinations(after, size):
+                mask = sum(1 << j for j in free)
+                assert closures_of_rows(pivot, mask) == oracle(pivot, free), where
+
+
+@pytest.mark.parametrize("q, k", [(2, 1), (2, 5), (2, 8), (3, 4), (9, 3)])
+def test_each_pivot_is_folded_once_per_set_of_later_pivots(monkeypatch, q, k):
+    # A row's free columns are the non-pivots after its pivot.  A fold that
+    # frees every column after the pivot yields the same levels, since its
+    # extra forms span subcodes that other forms span too, so the calls
+    # themselves are checked: one per pivot and set of later pivots.  The
+    # levels and row closures are checked as above, here up to k = 8.
+    calls = []
+
+    def counted_row_closures(c):
+        closures_of_rows = _row_closures(c)
+
+        def closures(pivot, free):
+            calls.append((pivot, free))
+            return closures_of_rows(pivot, free)
+
+        return closures
+
+    monkeypatch.setattr(codes, "_row_closures", counted_row_closures)
+    rng = random.Random(f"fold-count:{q}:{k}")
+    code = random_code(rng, GF(q), random_bipartite(rng, k + 8), k)
+    _assert_per_free_set_levels(code, f"q={q} basis={code.subspace.basis}")
+    assert len(calls) == 2**k - 1
+    expected = []
+    for pivot in range(k):
+        after = range(pivot + 1, k)
+        for size in range(len(after) + 1):
+            for later in combinations(after, size):
+                expected.append((pivot, sum(1 << j for j in after if j not in later)))
+    assert sorted(calls) == sorted(expected)
 
 
 # -- Wei duality ---------------------------------------------------------------------
