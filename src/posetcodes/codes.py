@@ -11,7 +11,7 @@ exercised against a full-enumeration oracle in the test suite.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -69,12 +69,15 @@ def poset_distance(p: Poset, field: FiniteField, x, y) -> int:
     return poset_weight(p, diff)
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(namedtuple("LinearCode", "poset subspace")):
     """A subspace of GF(q)^n analyzed under the metric of a bound poset."""
 
-    poset: Poset
-    subspace: Subspace
+    __slots__ = ()
+
+    def __new__(cls, poset: Poset, subspace: Subspace):
+        self = tuple.__new__(cls, (poset, subspace))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.poset.n != self.subspace.n:
@@ -135,12 +138,11 @@ def hierarchy_within_bounds(n: int, k: int, values) -> bool:
     return all(r <= d <= n - k + r for r, d in enumerate(values, 1))
 
 
-@dataclass(frozen=True)
-class Flag:
-    """Nested subspaces D_1 < .. < D_k achieving the weight hierarchy."""
+class Flag(namedtuple("Flag", "subspaces weights")):
+    """Nested subspaces D_1 < .. < D_k achieving the weight hierarchy, and
+    their weights: two tuples of length k."""
 
-    subspaces: tuple[Subspace, ...]
-    weights: tuple[int, ...]
+    __slots__ = ()
 
 
 def weight_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:

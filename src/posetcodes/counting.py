@@ -10,7 +10,7 @@ both validates the bound and quantifies its slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice
 
 from .codes import LinearCode, _count_chains, _ideal_walk, _least_ideals, _walk_ideals, analyze_code
@@ -27,14 +27,12 @@ from .linalg import (
 from .poset import ChainPartition, Poset, _is_int, _read_json
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated lower bound with its per-chain, per-dimension addends."""
+class BoundReport(namedtuple("BoundReport", "nu q bound addends")):
+    """Evaluated lower bound with its per-chain, per-dimension addends:
+    ``addends[i][j - 1]`` counts the j-dimensional codes on chain i, of
+    size ``nu[i]``."""
 
-    nu: tuple[int, ...]
-    q: int
-    bound: int
-    addends: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def chain_condition_lower_bound(partition: ChainPartition, q: int) -> BoundReport:
@@ -50,17 +48,16 @@ def chain_condition_lower_bound(partition: ChainPartition, q: int) -> BoundRepor
     return BoundReport(nu=nu, q=q, bound=bound, addends=addends)
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Per-dimension tallies of all codes vs chain-condition codes."""
+class CensusReport(
+    namedtuple(
+        "CensusReport",
+        "poset q n max_dim per_dim_total per_dim_chain chain_condition_total",
+    )
+):
+    """Per-dimension tallies of all codes vs chain-condition codes, one entry
+    per dimension 1..max_dim."""
 
-    poset: Poset
-    q: int
-    n: int
-    max_dim: int
-    per_dim_total: tuple[int, ...]
-    per_dim_chain: tuple[int, ...]
-    chain_condition_total: int
+    __slots__ = ()
 
 
 THEOREM, REPLAY, PER_CODE = "theorem", "replay", "per-code"

@@ -11,7 +11,7 @@ turns runaway searches into a clean ``BudgetExceeded`` instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -72,13 +72,16 @@ def gaussian_row(n: int, q: int) -> tuple[int, ...]:
 # -- matrices -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable rectangular matrix with canonical entries."""
+class Matrix(namedtuple("Matrix", "field rows ncols")):
+    """Immutable rectangular matrix with canonical entries: ``rows`` is a
+    tuple of ``ncols``-tuples over ``field``."""
 
-    field: FiniteField
-    rows: tuple[tuple[int, ...], ...]
-    ncols: int
+    __slots__ = ()
+
+    def __new__(cls, field: FiniteField, rows, ncols: int):
+        self = tuple.__new__(cls, (field, rows, ncols))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for row in self.rows:
@@ -149,29 +152,27 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 # -- subspaces ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Row space identified by its canonical reduced-row-echelon basis.
+class Subspace(namedtuple("Subspace", "field n basis")):
+    """Row space of GF(q)^n identified by its canonical reduced-row-echelon
+    basis, a tuple of n-tuples.
 
     Constructing one validates the basis; ``_trusted`` skips that for bases
     the package itself computed in RREF.
     """
 
-    field: FiniteField
-    n: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+
+    def __new__(cls, field: FiniteField, n: int, basis):
+        # rows given as lists compare and hash as the tuples of the RREF
+        self = tuple.__new__(cls, (field, n, tuple(tuple(row) for row in basis)))
+        self.__post_init__()
+        return self
 
     @classmethod
     def _trusted(cls, field: FiniteField, n: int, basis) -> Subspace:
-        s = object.__new__(cls)
-        object.__setattr__(s, "field", field)
-        object.__setattr__(s, "n", n)
-        object.__setattr__(s, "basis", basis)
-        return s
+        return tuple.__new__(cls, (field, n, basis))
 
     def __post_init__(self):
-        # rows given as lists compare and hash as the tuples of the RREF
-        object.__setattr__(self, "basis", tuple(tuple(row) for row in self.basis))
         for row in self.basis:
             if len(row) != self.n:
                 raise LengthMismatch(f"basis row of length {len(row)}, ambient is {self.n}")
@@ -338,18 +339,15 @@ def _iter_codewords(s):
 # -- generator-matrix files ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorFile:
+class GeneratorFile(namedtuple("GeneratorFile", "q n k lines")):
     """Parsed generator-matrix file: header ``q n k`` then k generators.
 
-    ``lines`` preserves the token layout of the body so callers can apply
-    either flattening convention to matrix-shaped generators.
+    ``lines`` preserves the token layout of the body, one tuple of ints per
+    line, so callers can apply either flattening convention to matrix-shaped
+    generators.
     """
 
-    q: int
-    n: int
-    k: int
-    lines: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def read_generator_file(path) -> GeneratorFile:
@@ -365,7 +363,16 @@ def read_generator_file(path) -> GeneratorFile:
         try:
             tokens = tuple(int(t) for t in line.split())
         except ValueError:
-            raise InputError(f"{path}:{lineno}: non-integer token") from None
+            if not all((t[1:] if t[0] in "+-" else t).isdecimal() for t in line.split()):
+                raise InputError(f"{path}:{lineno}: non-integer token") from None
+            # every token is a decimal, so int() refused one past CPython's
+            # int->str digit limit, far past any supported field order
+            if not body:
+                raise InputError(f"{path}: header 'q n k' holds an over-long integer") from None
+            q = body[0][0]
+            raise RangeError(
+                f"{path}:{lineno}: entry too long to be a canonical GF({q}) representative"
+            ) from None
         body.append(tokens)
     if not body:
         raise InputError(f"{path}: missing header line 'q n k'")

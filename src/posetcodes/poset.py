@@ -10,7 +10,7 @@ Posets are immutable and safe to share.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import nsmallest
 from functools import partial
 from itertools import count
@@ -32,11 +32,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class ChainPartition:
-    """Disjoint chains whose union is the ground set {1, .., n}."""
+class ChainPartition(namedtuple("ChainPartition", "chains")):
+    """Disjoint chains, a tuple of tuples of elements, whose union is the
+    ground set {1, .., n}."""
 
-    chains: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -415,13 +415,22 @@ def poset_builder(obj):
 
 
 def _read_json(path):
-    """Parse a UTF-8 JSON file; undecodable or malformed text is an InputError."""
+    """Parse a UTF-8 JSON file; undecodable, malformed or unreadably deep or
+    long text is an InputError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON: {exc}") from None
+    except ValueError:
+        # json hands each integer literal to int(), which refuses one past
+        # CPython's int->str digit limit
+        raise InputError(f"{path}: an integer literal has too many digits to read") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to read") from None
 
 
 def load_poset(path) -> Poset:

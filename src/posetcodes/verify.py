@@ -8,7 +8,7 @@ reproduce the instance verbatim.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .codes import (
@@ -42,11 +42,10 @@ from .random_instances import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    """A named check, whether it passed, and the detail that reproduces a failure."""
+
+    __slots__ = ()
 
 
 def describe_code(code: LinearCode) -> str:

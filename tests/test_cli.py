@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from posetcodes import cli, verify
 from posetcodes.cli import main
 from posetcodes.linalg import DEFAULT_BUDGET, gaussian_row
-from conftest import DEMO
+from conftest import DEMO, REPO_ROOT
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +31,9 @@ CHAIN3 = DEMO / "chain_3.json"
 RT_POSET = DEMO / "disjoint_chains_3x2.json"
 RT_CODE = DEMO / "rt_code_3x2.txt"
 EXPECT_OK = DEMO / "expected_weak_order.json"
+# CPython's int->str digit limit; 0 where there is none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="no int->str digit limit")
 # the reports of the zero code (k = 0) under the weak order
 ZERO_CODE_REPORTS = {
     "hierarchy": {
@@ -357,6 +360,58 @@ class TestErrorPaths:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ("poset", "partition", "expect"))
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            pytest.param(
+                '{"chain": ' + "9" * (DIGIT_LIMIT + 1) + "}",
+                "an integer literal has too many digits to read",
+                marks=needs_digit_limit,
+            ),
+            ("[" * 100_000 + "]" * 100_000, "JSON nested too deeply to read"),
+        ],
+        ids=["huge-integer", "deep-nesting"],
+    )
+    def test_unreadable_json_exits_2(self, capsys, tmp_path, kind, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = {
+            "poset": ["bound", "--poset", bad],
+            "partition": ["bound", "--poset", CHAIN3, "--partition", bad],
+            "expect": ["verify", "--poset", WEAK, "--code", CODE27, "--expect", bad],
+        }[kind]
+        assert main([str(a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            pytest.param(
+                "2 3 1\n1 0 " + "1" * (DIGIT_LIMIT + 1),
+                ":2: entry too long to be a canonical GF(2) representative",
+                marks=needs_digit_limit,
+            ),
+            pytest.param(
+                "2 3 " + "1" * (DIGIT_LIMIT + 1) + "\n1 0 1",
+                ": header 'q n k' holds an over-long integer",
+                marks=needs_digit_limit,
+            ),
+            ("2 3 1\n1 0 x", ":2: non-integer token"),
+            ("2 3 1\n1 0 +-1", ":2: non-integer token"),
+        ],
+        ids=["long-entry", "long-header", "word", "two-signs"],
+    )
+    def test_unreadable_generator_token_exits_2(self, capsys, tmp_path, text, reason):
+        code = tmp_path / "code.txt"
+        code.write_text(text + "\n")
+        assert main(["hierarchy", "--poset", str(CHAIN3), "--code", str(code)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {code}{reason}\n"
+
     def test_boolean_block_size_exits_2(self, tmp_path):
         poset = tmp_path / "p.json"
         poset.write_text('{"weak_order": [true, 2]}')
@@ -614,6 +669,23 @@ class TestRepeatedCalls:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the value records are named tuples: start-up loads neither module, nor
+    # the ast, dis and tokenize modules that inspect pulls in
+    probe = (
+        "import sys, posetcodes.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- seeded fuzzing of the input files ------------------------------------------------
