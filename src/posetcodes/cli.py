@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .codes import _load_code, analyze_code, support_of_code
 from .counting import _census_sizes, census, chain_condition_lower_bound, load_partition
-from .errors import BudgetExceeded, InputError, count_text
+from .errors import BudgetExceeded, InputError, check_budget
 from .linalg import DEFAULT_BUDGET
 from .poset import _is_int, _read_json, poset_builder
 from .verify import batch_checks, instance_checks
@@ -260,14 +260,9 @@ def _resolve_partition(args, poset):
 def _check_pairs(size, budget):
     """Refuse a positive size whose n (n - 1) / 2 pairs exceed the budget, before the
     order masks and the chain partition's matching, which grow with the pairs, exist."""
-    pairs = size * (size - 1) // 2
-    if size > 0 and pairs > budget:
-        raise BudgetExceeded(
-            f"{count_text(pairs)} pairs of a poset on {size} elements"
-            f" exceed the budget {budget}",
-            count=pairs,
-            budget=budget,
-        )
+    if size > 0:
+        message = "{count} pairs of a poset on {size} elements exceed the budget {budget}"
+        check_budget(size * (size - 1) // 2, budget, message, size=size)
 
 
 def _cmd_bound(args):

@@ -17,10 +17,10 @@ from itertools import compress
 from operator import or_
 
 from .errors import (
-    BudgetExceeded,
     ChainConditionUnsatisfied,
     InputError,
     LengthMismatch,
+    check_budget,
     count_text,
 )
 from .gf import GF, FiniteField
@@ -454,14 +454,9 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
     walk = _ideal_walk(c.poset, top, limit)
     if walk is not None:
         levels = _ideal_levels(c, top, walk)
-    elif limit < subcodes:
-        raise BudgetExceeded(
-            f"more than {limit} ideals and {count_text(subcodes)} subcodes "
-            f"exceed the budget {budget}",
-            count=subcodes,
-            budget=budget,
-        )
     else:
+        message = "more than {limit} ideals and {count} subcodes exceed the budget {budget}"
+        check_budget(subcodes, budget, message, limit=limit)
         levels = _subcode_levels(c)
     return CodeAnalysis(c, levels)
 
@@ -551,7 +546,9 @@ def _load_code(path, size: int, build_poset, flatten, chain_shape) -> LinearCode
     2 n^2 bits of order masks, so a mismatch is reported before they exist."""
     gfile = read_generator_file(path)
     if gfile.n != size:
-        raise LengthMismatch(f"{path}: code length {gfile.n} does not match poset size {size}")
+        raise LengthMismatch(
+            f"{path}: code length {gfile.n} does not match poset size {count_text(size)}"
+        )
     poset = build_poset()
     field = GF(gfile.q)
     vectors = vectors_from_generator_file(gfile, flatten, chain_shape)

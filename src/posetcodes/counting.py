@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import islice
 
 from .codes import LinearCode, _count_chains, _ideal_walk, _least_ideals, _walk_ideals, analyze_code
-from .errors import BudgetExceeded, InputError, RangeError
+from .errors import InputError, RangeError, check_budget, count_text
 from .gf import GF, _factor_prime_power
 from .linalg import (
     DEFAULT_BUDGET,
@@ -140,17 +140,16 @@ def _census_sizes(n: int, q: int, max_dim: int | None, budget: int | None):
     if max_dim is None:
         max_dim = n
     if not 0 <= max_dim <= n:
-        raise RangeError(f"max_dim {max_dim} outside 0..{n}")
+        raise RangeError(f"max_dim {max_dim} outside 0..{count_text(n)}")
     field = GF(q)
-    message = f"census over more than {budget} subspaces exceeds the budget {budget}"
+    message = "census over more than {budget} subspaces exceeds the budget {budget}"
     if budget is not None and max_dim and n - 1 >= budget.bit_length():
-        raise BudgetExceeded(message, budget=budget)
+        check_budget(None, budget, message)
     per_total, total = [], 0
     for count in islice(_gaussian_prefix(n, q), 1, max_dim + 1):
         per_total.append(count)
         total += count
-        if budget is not None and total > budget:
-            raise BudgetExceeded(message, count=total, budget=budget)
+        check_budget(total, budget, message)
     return field, per_total
 
 

@@ -57,3 +57,17 @@ def count_text(x: int) -> str:
     from decimal import Decimal  # only error paths need it; it adds ~4 ms to start-up
 
     return str(Decimal(x))
+
+
+def check_budget(count: int | None, budget: int | None, message: str, **numbers) -> None:
+    """Raise ``BudgetExceeded`` when ``count`` exceeds ``budget``.
+
+    ``budget`` None is no cap; ``count`` None is past the budget, too large
+    to count.  ``message`` is formatted only on refusal, with ``{count}``,
+    ``{budget}`` and the other ``numbers``, every int through ``count_text``.
+    """
+    if budget is None or (count is not None and count <= budget):
+        return
+    numbers.update(count=count, budget=budget)
+    text = {k: count_text(v) if isinstance(v, int) else v for k, v in numbers.items()}
+    raise BudgetExceeded(message.format_map(text), count=count, budget=budget)

@@ -16,13 +16,12 @@ from itertools import combinations, islice, product
 from pathlib import Path
 
 from .errors import (
-    BudgetExceeded,
     FieldMismatch,
     InputError,
     LengthMismatch,
     RangeError,
     RankError,
-    count_text,
+    check_budget,
 )
 from .gf import FiniteField
 
@@ -291,14 +290,8 @@ def enumerate_subspaces(ambient: Subspace, r: int, budget: int | None = DEFAULT_
     k = ambient.dim
     if not 0 <= r <= k:
         raise RankError(f"requested dimension {r} outside 0..{k}")
-    if budget is not None:
-        total = gaussian_binomial(k, r, ambient.field.q)
-        if total > budget:
-            raise BudgetExceeded(
-                f"{count_text(total)} subspaces of dimension {r} exceed the budget {budget}",
-                count=total,
-                budget=budget,
-            )
+    message = "{count} subspaces of dimension {r} exceed the budget {budget}"
+    check_budget(gaussian_binomial(k, r, ambient.field.q), budget, message, r=r)
     return _iter_subspaces(ambient, r)
 
 
@@ -320,11 +313,7 @@ def _iter_subspaces(ambient, r):
 
 def enumerate_nonzero_codewords(s: Subspace, budget: int | None = DEFAULT_BUDGET):
     """All q**dim - 1 nonzero vectors of the subspace, each exactly once."""
-    count = s.field.q**s.dim - 1
-    if budget is not None and count > budget:
-        raise BudgetExceeded(
-            f"{count_text(count)} codewords exceed the budget {budget}", count=count, budget=budget
-        )
+    check_budget(s.field.q**s.dim - 1, budget, "{count} codewords exceed the budget {budget}")
     return _iter_codewords(s)
 
 

@@ -22,7 +22,7 @@ from .codes import (
     support_of_code,
     support_of_vector,
 )
-from .errors import BudgetExceeded, PreconditionViolated, count_text
+from .errors import BudgetExceeded, PreconditionViolated, check_budget
 from .gf import GF
 from .linalg import (
     DEFAULT_BUDGET,
@@ -257,14 +257,8 @@ def batch_checks(
     A ``random_cover`` poset on n elements draws one coin per pair, so a
     ``max_n`` with more than ``budget`` pairs is refused before any draw.
     """
-    pairs = max_n * (max_n - 1) // 2
-    if budget is not None and pairs > budget:
-        raise BudgetExceeded(
-            f"{count_text(pairs)} cover draws of a random poset on {max_n} elements"
-            f" exceed the budget {budget}",
-            count=pairs,
-            budget=budget,
-        )
+    message = "{count} cover draws of a random poset on {max_n} elements exceed the budget {budget}"
+    check_budget(max_n * (max_n - 1) // 2, budget, message, max_n=max_n)
     rng = random.Random(seed)
     results = []
 

@@ -552,6 +552,41 @@ def test_census_max_dim_0_refuses_a_size_past_the_budget_before_the_order_masks(
     assert capsys.readouterr().err == "error: 15 pairs of a poset on 6 elements exceed the budget 14\n"
 
 
+# declared sizes past CPython's int->str digit limit: 3,000 nines times
+# 3,000 nines, and two blocks of 4,300 nines, whose sum has 4,301 digits
+HUGE_POSETS = {
+    "product": '{"disjoint_chains": {"length": %s, "count": %s}}' % ("9" * 3000, "9" * 3000),
+    "sum": '{"weak_order": [%s, %s]}' % ("9" * 4300, "9" * 4300),
+}
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("poset", sorted(HUGE_POSETS))
+@pytest.mark.parametrize(
+    "command, status",
+    (
+        ("bound", 3),
+        ("census --max-dim 0", 3),
+        ("census --max-dim -1", 2),
+        ("census", 3),
+        ("hierarchy", 2),
+        ("chain", 2),
+        ("flag", 2),
+        ("verify", 2),
+    ),
+)
+def test_sizes_past_the_digit_limit_end_in_one_line(capsys, tmp_path, poset, command, status):
+    path = tmp_path / "poset.json"
+    path.write_text(HUGE_POSETS[poset])
+    argv = [*command.split(), "--poset", str(path)]
+    if argv[0] not in ("bound", "census"):
+        argv += ["--code", str(CODE27)]
+    assert main(argv) == status
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert max(map(len, err.split())) > 4300 or "census over more than" in err
+
+
 def test_bound_refuses_a_size_past_the_budget_before_the_order_masks(capsys, tmp_path):
     # 8,000 elements have 31,996,000 pairs, past the default budget; their
     # order masks alone would take about 16 MB
@@ -673,10 +708,11 @@ class TestRepeatedCalls:
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # the value records are named tuples: start-up loads neither module, nor
-    # the ast, dis and tokenize modules that inspect pulls in
+    # the ast, dis and tokenize modules that inspect pulls in; decimal is
+    # loaded only to render the numbers of an error
     probe = (
         "import sys, posetcodes.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'decimal'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -795,6 +831,7 @@ def test_fuzzed_inputs_end_in_a_documented_exit_code(capsys, tmp_path, seed):
             ["chain", *instance],
             ["flag", *instance],
             ["census", "--poset", paths["poset"], "--q", rng.choice("234"), *budget],
+            ["bound", "--poset", paths["poset"], "--q", "2", *budget],
             ["verify", *instance, "--expect", paths["expect"]],
         )
         for argv in commands:
