@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import or_
 
@@ -190,8 +190,8 @@ def _ideal_walk(p: Poset, top: int, limit: int):
     parent, the ideal last recorded at depth - 1.  Starting from ``top``,
     maximal elements are removed in decreasing order of a linear extension,
     so each ideal has one removal sequence.  When the maximal or the minimal
-    elements of ``top`` alone generate more than ``limit`` ideals, it returns
-    None before recording any.
+    elements of ``top`` alone generate more than ``limit`` ideals, or
+    ``_fewest_ideals`` exceeds ``limit``, it returns None before recording any.
     """
     down, up = p._down, p._up
     # an element above order[j] has a larger down-set, so it comes later
@@ -201,7 +201,7 @@ def _ideal_walk(p: Poset, top: int, limit: int):
     # every subset of an antichain of S generates its own ideal, and the
     # maximal elements form one antichain, the minimal elements another
     width = max(above.count(0), sum(down[e] == b for e, b in zip(order, bit)))
-    if 1 << width > limit:
+    if 1 << width > limit or _fewest_ideals(p, top, limit) > limit:
         return None
     depths, removed = array("I"), array("I")
     stack = [(0, top, len(order), 0)]
@@ -215,6 +215,26 @@ def _ideal_walk(p: Poset, top: int, limit: int):
             if not above[j] & ideal:
                 stack.append((depth + 1, ideal ^ bit[j], j, order[j]))
     return depths, removed
+
+
+def _fewest_ideals(p: Poset, top: int, limit: int) -> int:
+    """A lower bound on the number of ideals inside the ideal ``top``, or a
+    number past ``limit``: the product of |C| + 1 over the connected
+    components C of ``top``.  The ideals of a disjoint union multiply, and C
+    has at least the |C| + 1 prefixes of a linear extension."""
+    down, up = p._down, p._up
+    bound, rest = 1, top
+    while rest and bound <= limit:
+        part, new = 0, rest & -rest
+        while new:  # grow the component of rest's lowest element
+            part |= new
+            reach = 0
+            for e in _bits(new):
+                reach |= down[e] | up[e]
+            new = reach & top & ~part
+        bound *= part.bit_count() + 1
+        rest ^= part
+    return bound
 
 
 def _insert(field: FiniteField, basis, v):
@@ -276,8 +296,7 @@ def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
     The ideal path tags every ideal I with m(I) (see the note above).  Its
     ideals may be those inside any ideal containing S = closure(supp C): an
     ideal I outside S has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is never
-    a least ideal of its m and joins no level.  The subcode path tags the
-    closure of each r-dimensional subcode with r.
+    a least ideal of its m and joins no level.
     """
     best = [None] * (k + 1)
     levels = [[] for _ in range(k + 1)]
@@ -290,9 +309,10 @@ def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(level) for level in levels[1:])
 
 
-def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
-    """Levels L_1..L_k from the ideal closures of the r-dimensional subcodes,
-    each tagged r for ``_least_ideals``.
+def _subcode_levels(c: LinearCode, table=None) -> tuple[frozenset[int], ...]:
+    """Levels L_1..L_k: L_r is the set of least ideal closures of the
+    r-dimensional subcodes.  ``table`` is C's ``_word_table``, built here
+    when not given.
 
     A subcode is the row space of an r-by-k coefficient RREF form, and its
     closure is the union of the closures of the form's rows.  For a fixed
@@ -305,7 +325,7 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
     of later pivots: 2^k - 1 folds in all.
     """
     k = c.k
-    closures_of_rows = _row_closures(c)
+    closures_of_rows = _row_closures(_word_table(c) if table is None else table)
 
     def fold(unions, taken, last):
         for pivot in range(last):  # each pivot before the suffix ``taken``
@@ -315,35 +335,83 @@ def _subcode_levels(c: LinearCode) -> tuple[frozenset[int], ...]:
             yield grown, taken.bit_count() + 1
             yield from fold(grown, taken | 1 << pivot, pivot)
 
-    records = ((ideal, ideal.bit_count(), r) for unions, r in fold({0}, 0, k) for ideal in unions)
-    return _least_ideals(k, records)
+    closures = [set() for _ in range(k)]  # of the subcodes of each dimension
+    for grown, r in fold({0}, 0, k):
+        closures[r - 1] |= grown
+    levels = []
+    for found in closures:
+        least = min(map(int.bit_count, found))
+        levels.append(frozenset(s for s in found if s.bit_count() == least))
+    return tuple(levels)
 
 
-def _row_closures(c: LinearCode):
+def _word_table(c: LinearCode):
+    """Every normalized coefficient vector x of C, one list per pivot: the
+    tags and the ideal closures of the words x.G of that pivot.
+
+    The x of pivot p has 1 at p, zero before it and any values after it, and
+    its tag is the mask of its nonzero entries after p.  A pivot's entries
+    are in lexicographic order of x: entry i has x_j = digit k - 1 - j of i
+    in base q (see ``_table_row``).  The words are built on packed rows by
+    additions only: appending, for each a, a * b_j (packed once per (j, a))
+    to every word built so far adds column j as the next digit up.
+    """
+    field, k, n, basis = c.field, c.k, c.n, c.subspace.basis
+    width, pack, add = field._packing(n)
+    # a coordinate is nonzero iff one of its bytes is
+    down = [d for d in c.poset._down for _ in range(width)]
+    size = n * width
+    scalars = range(1, field.q)
+    multiples = [[pack(field.scale(a, row)) for a in scalars] for row in basis[1:]]
+    table = []
+    for pivot in range(k):
+        words, tags = [pack(basis[pivot])], [0]
+        for j in range(k - 1, pivot, -1):
+            words += [add(w, m) for m in multiples[j - 1] for w in words]
+            tags += [t | 1 << j for _ in scalars for t in tags]
+        closures = [reduce(or_, compress(down, w.to_bytes(size, "little")), 0) for w in words]
+        table.append((tags, closures))
+    return table
+
+
+def _table_row(k: int, q: int, pivot: int, index: int) -> tuple[int, ...]:
+    """The x of entry ``index`` of ``pivot`` in ``_word_table``."""
+    x = [0] * k
+    x[pivot] = 1
+    for j in range(k - 1, pivot, -1):
+        index, x[j] = divmod(index, q)
+    return tuple(x)
+
+
+def _row_closures(table):
     """A call ``(pivot, free)`` -> the closures of the words whose
     coefficients are 1 at ``pivot``, any value at the columns of the mask
-    ``free`` (all after ``pivot``) and zero elsewhere.
-
-    Those words are the words of the widest row, free at every column after
-    the pivot, whose other nonzero coefficients lie in ``free``.  So each
-    pivot's words are built once, one row operation per word on a word
-    already built, each tagged with the mask of those coefficients, and a
-    free set takes the closures whose tag lies inside it.
-    """
-    field, k, down, basis = c.field, c.k, c.poset._down, c.subspace.basis
-    scalars = range(1, field.q)
-    tagged = []
-    for pivot in range(k):
-        words, tags = [basis[pivot]], [0]
-        for j in range(pivot + 1, k):
-            words += [field.axpy(w, a, basis[j]) for w in words for a in scalars]
-            tags += [t | 1 << j for t in tags for a in scalars]
-        tagged.append({(t, reduce(or_, compress(down, w), 0)) for t, w in zip(tags, words)})
+    ``free`` (all after ``pivot``) and zero elsewhere: the closures of the
+    ``_word_table`` entries of ``pivot`` whose tag lies inside ``free``."""
+    tagged = [set(zip(tags, closures)) for tags, closures in table]
 
     def closures_of_rows(pivot, free):
         return {s for tag, s in tagged[pivot] if not tag & ~free}
 
     return closures_of_rows
+
+
+def _table_within(table, k: int, q: int, ideal: int):
+    """``_coefficients_within`` read from the ``_word_table`` of C, without
+    elimination.  The nonzero vectors of C ∩ F^I are the multiples of the
+    words whose closure lies in I.  Of a pivot p of C ∩ F^I, the RREF row
+    is the entry whose tag avoids the other pivots, and it is the first
+    entry of p inside I: any other adds a multiple of a later row, so it
+    agrees with the RREF row up to that row's pivot, where it is nonzero and
+    the RREF row is zero."""
+    outside = ~ideal
+    pivots, rows = [], []
+    for p, (_, closures) in enumerate(table):
+        i = next((i for i, s in enumerate(closures) if not s & outside), None)
+        if i is not None:
+            pivots.append(p)
+            rows.append(_table_row(k, q, p, i))
+    return tuple(pivots), tuple(rows)
 
 
 def _coefficients_within(c: LinearCode, ideal: int):
@@ -386,18 +454,20 @@ def _count_chains(levels):
 
 class CodeAnalysis:
     """Hierarchy, flag count and witness flag of one code, from its levels
-    L_1..L_k (empty for the zero code).
+    L_1..L_k (empty for the zero code) and, on the subcode path, its word
+    table.
 
     The chain counts compare the ideals of consecutive levels pairwise, so
     they are built on first use: the hierarchy alone never pays for them.
     """
 
-    __slots__ = ("code", "hierarchy", "_levels", "_chain_counts")
+    __slots__ = ("code", "hierarchy", "_levels", "_table", "_chain_counts")
 
-    def __init__(self, c: LinearCode, levels):
+    def __init__(self, c: LinearCode, levels, table=None):
         self.code = c
         self.hierarchy = tuple(next(iter(level)).bit_count() for level in levels)
         self._levels = levels
+        self._table = table
         self._chain_counts = None
 
     @property
@@ -420,16 +490,22 @@ class CodeAnalysis:
         enumeration order that contains the previous one and still extends
         to a full flag; an achiever extends iff its closure starts a chain.
         Enumeration order is the order of the coefficient RREF forms:
-        pivot columns first, then the entries row by row.
+        pivot columns first, then the entries row by row.  The form of
+        C ∩ F^I is read from the word table when there is one, and found by
+        elimination otherwise.
         """
         if not self.flag_count:
             return None
         c = self.code
+        if self._table is None:
+            within = partial(_coefficients_within, c)
+        else:
+            within = partial(_table_within, self._table, c.k, c.field.q)
         subspaces = []
         previous = 0
         for level in self.chain_counts:
             forms = (
-                (_coefficients_within(c, ideal), ideal)
+                (within(ideal), ideal)
                 for ideal in level
                 if not previous & ~ideal
             )
@@ -445,20 +521,20 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
 
     The levels come from the ideals inside the closure S of the code support
     when there are at most sum_r [k r]_q of them (recorded before any rank
-    work), and otherwise from one pass over the subcodes per dimension.
-    ``budget`` caps the ideals or the subcodes of the path taken.
+    work), and otherwise from the closures of C's word table, which also
+    gives the witness its subcodes.  ``budget`` caps the ideals or the
+    subcodes of the path taken.
     """
     top = c.poset.ideal_mask(_code_support_mask(c))
     subcodes = sum(gaussian_row(c.k, c.field.q)[1:])
     limit = subcodes if budget is None else min(subcodes, budget)
     walk = _ideal_walk(c.poset, top, limit)
     if walk is not None:
-        levels = _ideal_levels(c, top, walk)
-    else:
-        message = "more than {limit} ideals and {count} subcodes exceed the budget {budget}"
-        check_budget(subcodes, budget, message, limit=limit)
-        levels = _subcode_levels(c)
-    return CodeAnalysis(c, levels)
+        return CodeAnalysis(c, _ideal_levels(c, top, walk))
+    message = "more than {limit} ideals and {count} subcodes exceed the budget {budget}"
+    check_budget(subcodes, budget, message, limit=limit)
+    table = _word_table(c)
+    return CodeAnalysis(c, _subcode_levels(c, table), table)
 
 
 # -- matrix codes -----------------------------------------------------------------

@@ -62,8 +62,7 @@ class Poset:
         return p
 
     def __init__(self, n: int, down_masks):
-        if n < 1:
-            raise RangeError(f"ground set size must be positive, got {n}")
+        _check_size(n)
         masks = tuple(int(m) for m in down_masks)
         if len(masks) != n:
             raise InputError(f"expected {n} down-sets, got {len(masks)}")
@@ -210,20 +209,18 @@ class Poset:
 
 
 # -- constructors ------------------------------------------------------------
+#
+# The ``_check_*`` helpers hold each constructor's checks that need no order
+# masks, so that ``poset_builder`` can run them before it declares a size.
 
 
-def from_cover_relations(n: int, covers) -> Poset:
-    """Reflexive-transitive closure of the given cover pairs (a, b) = a < b.
-
-    The closure runs in topological order (Kahn's algorithm): each element's
-    finished down-set is ORed into its upper covers, and the up-sets are
-    built in the reverse order.
-    """
+def _check_size(n: int) -> None:
     if n < 1:
         raise RangeError(f"ground set size must be positive, got {n}")
-    down = [1 << i for i in range(n)]
-    upper = [[] for _ in range(n)]
-    lower_count = [0] * n
+
+
+def _check_covers(n: int, covers) -> None:
+    _check_size(n)
     for pair in covers:
         a, b = pair
         if not (_is_int(a) and _is_int(b)):
@@ -232,6 +229,42 @@ def from_cover_relations(n: int, covers) -> Poset:
             raise RangeError(f"cover pair {pair!r} outside 1..{n}")
         if a == b:
             raise InputError(f"cover pair {pair!r} relates an element to itself")
+
+
+def _block_sizes(block_sizes) -> tuple[int, ...]:
+    sizes = tuple(int(s) for s in block_sizes)
+    if not sizes:
+        raise EmptyInputError("weak order needs at least one block")
+    if any(s < 1 for s in sizes):
+        raise RangeError(f"block sizes must be positive, got {sizes}")
+    return sizes
+
+
+def _check_chains(chain_length: int, num_chains: int) -> None:
+    if chain_length < 1 or num_chains < 1:
+        raise RangeError(
+            f"chain length and count must be positive, got ({chain_length}, {num_chains})"
+        )
+
+
+def from_cover_relations(n: int, covers) -> Poset:
+    """Reflexive-transitive closure of the given cover pairs (a, b) = a < b."""
+    covers = tuple(covers)
+    _check_covers(n, covers)
+    return _cover_closure(n, covers)
+
+
+def _cover_closure(n: int, covers) -> Poset:
+    """``from_cover_relations`` of checked cover pairs.
+
+    The closure runs in topological order (Kahn's algorithm): each element's
+    finished down-set is ORed into its upper covers, and the up-sets are
+    built in the reverse order.
+    """
+    down = [1 << i for i in range(n)]
+    upper = [[] for _ in range(n)]
+    lower_count = [0] * n
+    for a, b in covers:
         if not (down[b - 1] >> (a - 1)) & 1:
             down[b - 1] |= 1 << (a - 1)
             upper[a - 1].append(b - 1)
@@ -308,11 +341,7 @@ def weak_order(block_sizes) -> Poset:
     Blocks are labeled consecutively: the first block gets 1..s1, the
     second s1+1..s1+s2, and so on.
     """
-    sizes = tuple(int(s) for s in block_sizes)
-    if not sizes:
-        raise EmptyInputError("weak order needs at least one block")
-    if any(s < 1 for s in sizes):
-        raise RangeError(f"block sizes must be positive, got {sizes}")
+    sizes = _block_sizes(block_sizes)
     n = sum(sizes)
     down, up = [], []
     start = 0
@@ -329,10 +358,7 @@ def weak_order(block_sizes) -> Poset:
 def disjoint_chains(chain_length: int, num_chains: int) -> Poset:
     """num_chains disjoint chains of chain_length elements, labeled column-major:
     chain j occupies labels (j-1)*chain_length + 1 .. j*chain_length, ascending."""
-    if chain_length < 1 or num_chains < 1:
-        raise RangeError(
-            f"chain length and count must be positive, got ({chain_length}, {num_chains})"
-        )
+    _check_chains(chain_length, num_chains)
     down, up = [], []
     for j in range(num_chains):
         # chain j is the bits lo .. hi - 1
@@ -350,8 +376,7 @@ def chain(n: int) -> Poset:
 
 def antichain(n: int) -> Poset:
     """n pairwise-incomparable elements (recovers the Hamming metric)."""
-    if n < 1:
-        raise RangeError(f"ground set size must be positive, got {n}")
+    _check_size(n)
     masks = [1 << i for i in range(n)]
     return Poset._trusted(n, masks, masks)
 
@@ -369,7 +394,9 @@ def poset_from_dict(obj) -> Poset:
 
 def poset_builder(obj):
     """Check a poset description without building its order: return the
-    ground-set size it declares and a call that builds the poset."""
+    ground-set size it declares and a call that builds the poset.  Only
+    the checks that need the order masks, such as cycles among the covers,
+    are left to that call."""
     if not isinstance(obj, dict):
         raise InputError(f"poset description must be an object, got {type(obj).__name__}")
     present = [k for k in _CONSTRUCTOR_KEYS if k in obj]
@@ -390,18 +417,23 @@ def poset_builder(obj):
             not isinstance(c, list) or len(c) != 2 for c in covers
         ):
             raise InputError('"covers" must be a list of [a, b] pairs')
-        return obj["n"], partial(from_cover_relations, obj["n"], [tuple(c) for c in covers])
+        covers = [tuple(c) for c in covers]
+        _check_covers(obj["n"], covers)
+        return obj["n"], partial(_cover_closure, obj["n"], covers)
     if key == "weak_order":
         if not isinstance(obj[key], list) or not all(map(_is_int, obj[key])):
             raise InputError('"weak_order" must be a list of integer block sizes')
-        return sum(obj[key]), partial(weak_order, obj[key])
+        sizes = _block_sizes(obj[key])
+        return sum(sizes), partial(weak_order, sizes)
     if key == "chain":
         if not _is_int(obj[key]):
             raise InputError('"chain" must be an integer')
+        _check_chains(obj[key], 1)
         return obj[key], partial(chain, obj[key])
     if key == "antichain":
         if not _is_int(obj[key]):
             raise InputError('"antichain" must be an integer')
+        _check_size(obj[key])
         return obj[key], partial(antichain, obj[key])
     params = obj["disjoint_chains"]
     if (
@@ -410,6 +442,7 @@ def poset_builder(obj):
         or not all(_is_int(params[f]) for f in ("length", "count"))
     ):
         raise InputError('"disjoint_chains" must be {"length": int, "count": int}')
+    _check_chains(params["length"], params["count"])
     size = params["length"] * params["count"]
     return size, partial(disjoint_chains, params["length"], params["count"])
 

@@ -587,6 +587,33 @@ def test_sizes_past_the_digit_limit_end_in_one_line(capsys, tmp_path, poset, com
     assert max(map(len, err.split())) > 4300 or "census over more than" in err
 
 
+# descriptions that declare a size but cannot be built, each with its message
+INVALID_POSETS = {
+    '{"weak_order": [-2, 8]}': "block sizes must be positive, got (-2, 8)",
+    '{"disjoint_chains": {"length": -3, "count": -2}}': (
+        "chain length and count must be positive, got (-3, -2)"
+    ),
+    '{"chain": -4}': "chain length and count must be positive, got (-4, 1)",
+    '{"antichain": -4}': "ground set size must be positive, got -4",
+    '{"n": 3, "covers": [[1, 2], [1, 5]]}': "cover pair (1, 5) outside 1..3",
+}
+
+
+@pytest.mark.parametrize("budget", ([], ["--budget", "14"]))
+@pytest.mark.parametrize("command", ("bound", "census", "census --max-dim 0", "hierarchy"))
+@pytest.mark.parametrize("poset", INVALID_POSETS)
+def test_invalid_descriptions_exit_2_under_any_budget(capsys, tmp_path, poset, command, budget):
+    # the size such a description declares is never checked against the
+    # budget or the code length: the description is refused first
+    path = tmp_path / "poset.json"
+    path.write_text(poset)
+    argv = [*command.split(), "--poset", str(path), *budget]
+    if argv[0] == "hierarchy":
+        argv += ["--code", str(CODE27)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {INVALID_POSETS[poset]}\n"
+
+
 def test_bound_refuses_a_size_past_the_budget_before_the_order_masks(capsys, tmp_path):
     # 8,000 elements have 31,996,000 pairs, past the default budget; their
     # order masks alone would take about 16 MB

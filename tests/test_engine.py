@@ -24,6 +24,7 @@ from posetcodes import (
     antichain,
     disjoint_chains,
     find_maximal_flag,
+    from_cover_relations,
     generalized_weight,
     is_flag_unique,
     span,
@@ -37,11 +38,15 @@ from posetcodes.codes import (
     CodeAnalysis,
     _code_support_mask,
     _coefficients_within,
+    _fewest_ideals,
     _ideal_levels,
     _ideal_walk,
     _row_closures,
     _subcode_levels,
+    _table_row,
+    _table_within,
     _walk_ideals,
+    _word_table,
     _support_mask,
     analyze_code,
 )
@@ -138,6 +143,84 @@ def test_witness_subspaces_pass_full_validation(q):
                     assert s == checked and hash(s) == hash(checked)
                     assert generalized_weight(code.poset, checked) == d
     assert flags > 60
+
+
+# -- the word table of the subcode path ------------------------------------------------
+
+# q -> largest k; the larger fields take every lane layout of the packed rows
+TABLE_K = {2: 4, 3: 4, 4: 3, 5: 3, 7: 3, 8: 3, 9: 3, 16: 2, 25: 2, 27: 2, 257: 2}
+
+
+def _table_cases(name, q, count):
+    """Seeded codes of every poset family over GF(q), at most TABLE_K[q]
+    dimensional, with the closure of their support."""
+    rng = random.Random(f"{name}:{q}")
+    for family in POSET_FAMILIES:
+        for _ in range(count):
+            n = rng.randint(1, 7)
+            k = rng.randint(1, min(TABLE_K[q], n))
+            code = random_code(rng, GF(q), random_poset(rng, family, n), k)
+            yield code, code.poset.ideal_mask(_code_support_mask(code))
+
+
+@pytest.mark.parametrize("q", TABLE_K)
+def test_word_table_holds_each_normalized_word_in_lexicographic_order(q):
+    for code, _ in _table_cases("table", q, 3):
+        field, k, n, basis = code.field, code.k, code.n, code.subspace.basis
+        where = f"q={q} basis={basis}"
+        for pivot, (tags, closures) in enumerate(_word_table(code)):
+            xs = [_table_row(k, q, pivot, i) for i in range(len(closures))]
+            normalized = [
+                (0,) * pivot + (1,) + rest for rest in product(range(q), repeat=k - 1 - pivot)
+            ]
+            assert xs == normalized, where
+            for x, tag, closure in zip(xs, tags, closures):
+                assert tag == sum(1 << j for j in range(pivot + 1, k) if x[j]), where
+                word = _combine(field, x, basis, n)
+                assert closure == code.poset.ideal_mask(_support_mask(word)), (where, x)
+
+
+@pytest.mark.parametrize("q", TABLE_K)
+def test_table_reads_the_eliminated_subcode_of_every_ideal(q):
+    for code, top in _table_cases("within", q, 3):
+        table = _word_table(code)
+        for ideal in _walk_ideals(top, _ideal_walk(code.poset, top, 1 << code.n)):
+            where = f"q={q} basis={code.subspace.basis} ideal={ideal:b}"
+            within = _table_within(table, code.k, q, ideal)
+            assert within == _coefficients_within(code, ideal), where
+
+
+# q -> largest k of the subcode-path codes checked against the exhaustive
+# flag search, which enumerates every subcode
+TABLE_WITNESS_K = {7: 3, 16: 3, 25: 3, 27: 3, 257: 2}
+
+
+@pytest.mark.parametrize("q", TABLE_WITNESS_K)
+def test_table_witness_is_the_first_exhaustive_flag(q):
+    field = GF(q)
+    rng = random.Random(f"table witness:{q}")
+    checked = 0
+    for i in range(16):
+        n = rng.randint(10, 12)
+        p = random_bipartite(rng, n) if i % 3 == 0 else antichain(n)
+        k = rng.randint(2, TABLE_WITNESS_K[q])
+        code = sparse_code(rng, field, p, k, rng.choice((0.5, 0.8, 1.0)))
+        analysis = analyze_code(code)
+        if analysis._table is None:  # the ideal path
+            continue
+        flags = exhaustive_flags(code)
+        where = f"q={q} n={n} basis={code.subspace.basis}"
+        assert analysis.witness() == (flags[0] if flags else None), where
+        checked += 1
+    assert checked >= 8
+
+
+@pytest.mark.parametrize("q", FLAGLESS)
+def test_table_witness_of_a_flagless_code_is_none(q):
+    n = len(FLAGLESS[q][0])
+    analysis = analyze_code(LinearCode(antichain(n), span(GF(q), n, FLAGLESS[q])))
+    assert analysis._table is not None
+    assert analysis.flag_count == 0 and analysis.witness() is None
 
 
 def test_zero_code_has_one_empty_flag(f2):
@@ -380,6 +463,67 @@ def test_walk_gives_up_exactly_when_the_ideals_exceed_the_limit():
                 assert walk == full, where
 
 
+def _shuffled_chains(rng, lengths):
+    """Disjoint chains of the given lengths on shuffled labels."""
+    labels = list(range(1, sum(lengths) + 1))
+    rng.shuffle(labels)
+    covers, start = [], 0
+    for length in lengths:
+        block = labels[start : start + length]
+        covers += zip(block, block[1:])
+        start += length
+    return from_cover_relations(len(labels), covers)
+
+
+def _component_sizes(p, top):
+    """Sizes of the connected components of the comparability graph of the
+    elements of ``top`` (oracle)."""
+    parts = []
+    for e in (e for e in p.elements if (top >> (e - 1)) & 1):
+        joined = [part for part in parts if any(p.comparable(e, f) for f in part)]
+        parts = [part for part in parts if part not in joined]
+        parts.append({e}.union(*joined))
+    return [len(part) for part in parts]
+
+
+def test_component_bound_skips_only_walks_that_must_fail(monkeypatch):
+    rng = random.Random("components")
+    cases = list(_walk_cases("components", 25, 12))
+    for _ in range(25):
+        lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        p = _shuffled_chains(rng, lengths)
+        cases.append(("shuffled chains", p, p.ideal_mask(rng.getrandbits(p.n))))
+    recorded = []
+
+    class CountedArray(array):
+        def append(self, x):
+            recorded.append(x)
+            super().append(x)
+
+    monkeypatch.setattr(codes, "array", CountedArray)
+    skipped = 0
+    for family, p, top in cases:
+        full = _all_pairs_walk(p, top, 1 << p.n)
+        count = len(full[0])
+        bound = 1
+        for size in _component_sizes(p, top):
+            bound *= size + 1
+        where = f"{family} {p!r} top={top:b} ideals={count} bound={bound}"
+        assert bound <= count, where
+        assert _fewest_ideals(p, top, count) == bound, where
+        for limit in {bound - 1, bound, count - 1, count}:
+            recorded.clear()
+            walk = _ideal_walk(p, top, limit)
+            if count > limit:
+                assert walk is None, where
+            else:
+                assert walk == full, where
+            if limit < bound:  # decided before the first record
+                assert recorded == [], where
+                skipped += 1
+    assert skipped > 50
+
+
 # A code on the middle block of weak_order([1, 9, 1]): S = closure(supp C) has
 # 1 + 2^9 ideals and 3 + 1 = 4 subcodes.
 MIDDLE_BLOCK_ROWS = ((0,) + (1,) * 5 + (0,) * 5, (0,) * 5 + (1,) * 5 + (0,))
@@ -402,8 +546,12 @@ def test_wide_closures_record_no_ideal(monkeypatch, code_hamming, code_weak):
     middle = LinearCode(weak_order([1, 9, 1]), span(GF(2), 11, MIDDLE_BLOCK_ROWS))
     assert analyze_code(middle).hierarchy == exhaustive_hierarchy(middle)
     assert recorded == []
-    # the counter does count: the weak order's closure is walked
-    analyze_code(code_weak)
+    # the weak order's closure is one component of 27 elements, so it has at
+    # least 28 ideals, again more than the 15 subcodes
+    assert analyze_code(code_weak).hierarchy == HIERARCHY_WEAK
+    assert recorded == []
+    # the counter does count: a chain's closure is walked
+    analyze_code(LinearCode(chain(8), span(GF(2), 8, CHAIN_ROWS)))
     assert recorded
 
 
@@ -550,7 +698,7 @@ def _assert_per_free_set_levels(code, where):
     # coefficient outside its free set: such a form still spans an
     # r-dimensional subcode, one that another form spans too.  So the
     # closures of every row are compared as well.
-    closures_of_rows = _row_closures(code)
+    closures_of_rows = _row_closures(_word_table(code))
     for pivot in range(k):
         after = range(pivot + 1, k)
         for size in range(len(after) + 1):

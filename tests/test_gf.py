@@ -168,3 +168,50 @@ def test_large_extension_products_match_the_schoolbook_product(q):
             assert f.pow(a, e) == power
             power = schoolbook_product(f.p, f.modulus, power, a)
         assert schoolbook_product(f.p, f.modulus, a, f.pow(a, -1)) == 1
+
+
+# every kind of field the package accepts, up to q = 2^16: prime fields with
+# one-, two- and four-byte lanes, characteristic-2 extensions with one- and
+# two-byte coordinates and odd extensions with several lanes per coordinate
+PACKED_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 128, 243, 256, 257, 65521, 65536]
+
+
+def _unpacked(f, width, n, word):
+    """The row a packed row holds, read lane by lane (oracle).  Each lane of
+    an odd-characteristic row must hold a base-p digit, so no sum is left
+    unreduced."""
+    data = word.to_bytes(n * width, "little")
+    lane = width if f.p == 2 else width // f.m
+    row = []
+    for i in range(0, len(data), width):
+        digits = [int.from_bytes(data[j : j + lane], "little") for j in range(i, i + width, lane)]
+        if f.p == 2:
+            row.append(digits[0])
+        else:
+            assert all(d < f.p for d in digits), digits
+            row.append(sum(d * f.p**e for e, d in enumerate(digits)))
+    return tuple(row)
+
+
+@pytest.mark.parametrize("q", PACKED_Q)
+def test_packed_rows_add_as_axpy(q):
+    f = GF(q)
+    rng = random.Random(f"packed:{q}")
+    for n in (1, 2, 7, 13):
+        width, pack, add = f._packing(n)
+        top = [q - 1] * n  # every digit p - 1: sums reach 2p - 2
+        rows = [top, [0] * n] + [[rng.randrange(q) for _ in range(n)] for _ in range(8)]
+        for row in rows:
+            assert _unpacked(f, width, n, pack(row)) == tuple(row)
+        scalars = [1, q - 1] + [rng.randrange(1, q) for _ in range(4)]
+        for u in rows:
+            for v in (top, rows[-1]):
+                for a in scalars:
+                    # x - a * y is x plus the multiple -a * y
+                    total = add(pack(u), pack(f.scale(f.neg(a), v)))
+                    assert _unpacked(f, width, n, total) == tuple(f.axpy(u, a, v)), (u, a, v)
+        # sums of sums stay reduced, as the word table builds them
+        word, expected = pack(top), top
+        for v in rows:
+            word, expected = add(word, pack(v)), [f.add(x, y) for x, y in zip(expected, v)]
+            assert _unpacked(f, width, n, word) == tuple(expected)
