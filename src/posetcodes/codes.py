@@ -14,7 +14,7 @@ from array import array
 from collections import namedtuple
 from functools import partial, reduce
 from itertools import compress
-from operator import or_
+from operator import or_, xor
 
 from .errors import (
     ChainConditionUnsatisfied,
@@ -309,10 +309,9 @@ def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(level) for level in levels[1:])
 
 
-def _subcode_levels(c: LinearCode, table=None) -> tuple[frozenset[int], ...]:
+def _subcode_levels(c: LinearCode, table) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k: L_r is the set of least ideal closures of the
-    r-dimensional subcodes.  ``table`` is C's ``_word_table``, built here
-    when not given.
+    r-dimensional subcodes.  ``table`` is C's ``_word_table``.
 
     A subcode is the row space of an r-by-k coefficient RREF form, and its
     closure is the union of the closures of the form's rows.  For a fixed
@@ -325,7 +324,7 @@ def _subcode_levels(c: LinearCode, table=None) -> tuple[frozenset[int], ...]:
     of later pivots: 2^k - 1 folds in all.
     """
     k = c.k
-    closures_of_rows = _row_closures(_word_table(c) if table is None else table)
+    closures_of_rows = _row_closures(table)
 
     def fold(unions, taken, last):
         for pivot in range(last):  # each pivot before the suffix ``taken``
@@ -345,6 +344,41 @@ def _subcode_levels(c: LinearCode, table=None) -> tuple[frozenset[int], ...]:
     return tuple(levels)
 
 
+def _packing(field: FiniteField, n: int):
+    """``(width, pack, add)`` for rows of length n: ``width`` bytes per
+    coordinate, ``pack(row)`` the packed row, ``add(u, v)`` that of u + v.
+
+    A packed row is one int whose little-endian bytes hold each coordinate
+    as its lanes.  In characteristic 2 one lane holds the representative's
+    bits, and rows add by XOR.  For odd p every base-p digit has a lane of
+    its own, wide enough that p <= 2^g for its top bit g: a lane of u + v
+    holds a digit sum s <= 2p - 2, and s + 2^g - p, still below 2^(g + 1),
+    has bit g set exactly when s >= p, so those lanes get p taken off.  No
+    lane ever carries into the next.
+    """
+    p, q = field.p, field.q
+    base, count = (q, 1) if p == 2 else (p, field.m)  # lanes per coordinate
+    lane = -(-(q - 1 if p == 2 else 2 * p - 1).bit_length() // 8)  # bytes per lane
+    digits = lanes = [d.to_bytes(lane, "little") for d in range(base)]
+    for _ in range(count - 1):  # each element's lanes, the constant digit first
+        lanes = [low + high for high in digits for low in lanes]
+
+    def pack(row):
+        return int.from_bytes(b"".join(map(lanes.__getitem__, row)), "little")
+
+    if p == 2:
+        return lane, pack, xor
+    guard = 8 * lane - 1
+    ones = int.from_bytes(digits[1] * n * count, "little")  # 1 in every lane
+    bias, guards = ((1 << guard) - p) * ones, ones << guard
+
+    def add(u, v):
+        s = u + v
+        return s - (((s + bias) & guards) >> guard) * p
+
+    return lane * count, pack, add
+
+
 def _word_table(c: LinearCode):
     """Every normalized coefficient vector x of C, one list per pivot: the
     tags and the ideal closures of the words x.G of that pivot.
@@ -357,7 +391,7 @@ def _word_table(c: LinearCode):
     to every word built so far adds column j as the next digit up.
     """
     field, k, n, basis = c.field, c.k, c.n, c.subspace.basis
-    width, pack, add = field._packing(n)
+    width, pack, add = _packing(field, n)
     # a coordinate is nonzero iff one of its bytes is
     down = [d for d in c.poset._down for _ in range(width)]
     size = n * width

@@ -82,6 +82,12 @@ THEOREM, REPLAY, PER_CODE = "theorem", "replay", "per-code"
 # q = 2, r = 4 and at q = 4, r = 3 replay, where per code is now faster.
 REPLAY_RATIO = 14
 
+# The verdict memo of a replayed dimension is emptied at this many m-profiles,
+# about 20 MB at the 513-byte profiles of antichain(9).  The 200,787 codes of
+# weak_order([1, 7]), q = 2, r = 4 have 23,622 profiles and never empty it;
+# with no memo, that dimension and others ran 2-4 times slower.
+_PROFILE_KEYS = 1 << 15
+
 
 def _replay_limit(q: int, r: int) -> int:
     """The most ideals of P at which dimension r replays the shared record."""
@@ -226,7 +232,7 @@ def _shared_census(field, r: int, forms, lattice) -> int:
     elimination on first use, and m(I) = r - dim(state).  The masks and
     sizes are those of every code, so the levels, and with them the verdict,
     depend only on the m-profile: the chain search runs once per distinct
-    profile.
+    profile while at most ``_PROFILE_KEYS`` of them are remembered.
     """
     masks, sizes, depths, removed = lattice
     spans, index, ms = [()], {(): 0}, [r]  # state 0: no column outside the top
@@ -256,6 +262,8 @@ def _shared_census(field, r: int, forms, lattice) -> int:
         profile = bytes(profile)
         verdict = verdicts.get(profile)
         if verdict is None:
+            if len(verdicts) >= _PROFILE_KEYS:
+                verdicts.clear()
             levels = _least_ideals(r, zip(masks, sizes, profile))
             verdict = verdicts[profile] = bool(_count_chains(levels)[0])
         satisfied += verdict

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one text-file reader."""
+
+from pathlib import Path
 
 
 class PosetCodesError(Exception):
@@ -71,3 +73,11 @@ def check_budget(count: int | None, budget: int | None, message: str, **numbers)
     numbers.update(count=count, budget=budget)
     text = {k: count_text(v) if isinstance(v, int) else v for k, v in numbers.items()}
     raise BudgetExceeded(message.format_map(text), count=count, budget=budget)
+
+
+def read_utf8(path) -> str:
+    """The text of the UTF-8 file at ``path``; other bytes are an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None

@@ -13,16 +13,12 @@ the multiplicative group.
 
 Besides the scalar operations, a field offers row operations (``scale``,
 ``axpy``) that take whole vectors, so that elimination loops make one call
-per row instead of one per entry, and packed rows (``_packing``) that add a
-whole row in a few big-integer operations.
+per row instead of one per entry.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from functools import lru_cache
-from operator import xor
 
 from .errors import InputError, RangeError
 
@@ -145,7 +141,7 @@ def _digitwise(a: int, b: int, p: int, sign: int) -> int:
 class FiniteField:
     """Arithmetic in GF(q) on the integer representatives ``0 .. q - 1``."""
 
-    __slots__ = ("q", "p", "m", "modulus", "_exp", "_log", "_lanes")
+    __slots__ = ("q", "p", "m", "modulus", "_exp", "_log")
 
     def __init__(self, q: int):
         p, m = _factor_prime_power(q)
@@ -156,7 +152,6 @@ class FiniteField:
             self.modulus = None
             self._exp = None
             self._log = None
-            self._lanes = None
         else:
             self.modulus = _find_modulus(p, m)
             self._build_tables()
@@ -192,13 +187,6 @@ class FiniteField:
         assert cur == 1
         self._exp = exp
         self._log = log
-        self._lanes = None
-        if self.p > 2:  # each base-p digit of an element packs into a lane of its own
-            lane = self._lane_bytes()
-            self._lanes = [
-                b"".join(d.to_bytes(lane, "little") for d in _digits(e, self.p, self.m))
-                for e in range(self.q)
-            ]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -274,53 +262,6 @@ class FiniteField:
             return [u ^ exp[lo + log[v]] if v else u for u, v in zip(x, y)]
         p = self.p
         return [_digitwise(u, exp[lo + log[v]], p, -1) if v else u for u, v in zip(x, y)]
-
-    # -- packed rows -------------------------------------------------------
-    #
-    # A packed row is one int whose little-endian bytes hold the coordinates
-    # in order, ``width`` bytes each.  In characteristic 2 a coordinate is
-    # its representative's bits and rows add by XOR.  For odd p every base-p
-    # digit has a lane of its own, wide enough that p <= 2^g for its top
-    # bit g: a lane of u + v holds a digit sum s <= 2p - 2, and s + 2^g - p,
-    # still below 2^(g + 1), has bit g set exactly when s >= p, so those
-    # lanes get p taken off.  No lane ever carries into the next.
-
-    def _lane_bytes(self) -> int:
-        if self.p == 2:
-            return 1 if self.m <= 8 else 2  # the whole representative
-        return 1 if self.p < 1 << 7 else 2 if self.p < 1 << 15 else 4
-
-    def _packing(self, n: int):
-        """``(width, pack, add)`` for rows of length n: ``width`` bytes per
-        coordinate, ``pack(row)`` the packed row and ``add(u, v)`` the packed
-        row u + v."""
-        p, lane = self.p, self._lane_bytes()
-        if self._lanes is None:  # one array item per coordinate
-            code = next(c for c in "BHI" if array(c).itemsize == lane)
-            swap = sys.byteorder == "big"
-
-            def pack(row):
-                items = array(code, row)
-                if swap:
-                    items.byteswap()
-                return int.from_bytes(items, "little")
-        else:
-            lanes = self._lanes
-
-            def pack(row):
-                return int.from_bytes(b"".join(map(lanes.__getitem__, row)), "little")
-        if p == 2:
-            return lane, pack, xor
-        guard = 8 * lane - 1
-        count = n * self.m
-        bias = int.from_bytes(((1 << guard) - p).to_bytes(lane, "little") * count, "little")
-        guards = int.from_bytes((1 << guard).to_bytes(lane, "little") * count, "little")
-
-        def add(u, v):
-            s = u + v
-            return s - (((s + bias) & guards) >> guard) * p
-
-        return lane * self.m, pack, add
 
     def elements(self) -> range:
         """All q elements, zero first, ascending by representative."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations, islice, product
-from pathlib import Path
 
 from .errors import (
     FieldMismatch,
@@ -22,6 +21,7 @@ from .errors import (
     RangeError,
     RankError,
     check_budget,
+    read_utf8,
 )
 from .gf import FiniteField
 
@@ -340,12 +340,8 @@ class GeneratorFile(namedtuple("GeneratorFile", "q n k lines")):
 
 
 def read_generator_file(path) -> GeneratorFile:
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     body = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

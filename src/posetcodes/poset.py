@@ -14,9 +14,8 @@ from collections import namedtuple
 from heapq import nsmallest
 from functools import partial
 from itertools import count
-from pathlib import Path
 
-from .errors import CycleError, EmptyInputError, InputError, RangeError
+from .errors import CycleError, EmptyInputError, InputError, RangeError, read_utf8
 
 
 def _is_int(x) -> bool:
@@ -450,10 +449,7 @@ def poset_builder(obj):
 def _read_json(path):
     """Parse a UTF-8 JSON file; undecodable, malformed or unreadably deep or
     long text is an InputError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    text = read_utf8(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

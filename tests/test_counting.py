@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -278,6 +279,36 @@ class TestSharedLattice:
             for ideals in range(n + 1, 2**n + 1):
                 paths = [counting._census_path(n, q, r, ideals) for r in range(1, n + 1)]
                 assert paths == [theorem] * 2 + [replay] * (n - 5) + [theorem] * 3
+
+    def test_the_verdict_memo_holds_at_most_its_key_limit(self, monkeypatch):
+        # disjoint_chains(2, 3) at q = 2, r = 3: 1,371 of the 1,395 codes
+        # satisfy the condition, and they have 319 distinct m-profiles
+        p, field, r = disjoint_chains(2, 3), GF(2), 3
+        lattice = counting._shared_lattice(p, 1 << p.n)
+        held = []
+        count_chains = counting._count_chains
+
+        def searched(levels):
+            # the memo is a local of the replay's frame; the profile whose
+            # chains are searched now joins it next
+            held.append(len(sys._getframe(1).f_locals["verdicts"]) + 1)
+            return count_chains(levels)
+
+        def replayed():
+            held.clear()
+            forms = _rref_canonical_forms(field, r, p.n)
+            return counting._shared_census(field, r, forms, lattice)
+
+        monkeypatch.setattr(counting, "_count_chains", searched)
+        expected = census_per_code(p, 2, r)[1][r - 1]
+        assert 0 < expected < gaussian_binomial(p.n, r, 2)
+        assert replayed() == expected
+        profiles = len(held)
+        assert held == list(range(1, profiles + 1)) and profiles == 319
+        monkeypatch.setattr(counting, "_PROFILE_KEYS", 16)
+        assert replayed() == expected
+        # emptied at 16 keys, the memo searches some profiles again
+        assert max(held) == 16 and len(held) > profiles
 
     def test_only_a_dimension_that_can_replay_walks_the_ideals(self, monkeypatch):
         limits = []

@@ -95,7 +95,7 @@ def test_both_level_builders_match_the_oracles(family, q):
         walk = _ideal_walk(code.poset, top, 1 << code.n)
         for build, levels in (
             (_ideal_levels, _ideal_levels(code, top, walk)),
-            (_subcode_levels, _subcode_levels(code)),
+            (_subcode_levels, _subcode_levels(code, _word_table(code))),
         ):
             analysis = CodeAnalysis(code, levels)
             where = f"{build.__name__} on {family} q={q} n={code.n} basis={code.subspace.basis}"
@@ -132,7 +132,8 @@ def test_witness_subspaces_pass_full_validation(q):
             code = random_code(rng, f, random_poset(rng, family, n), k)
             top = code.poset.ideal_mask(_code_support_mask(code))
             walk = _ideal_walk(code.poset, top, 1 << n)
-            for levels in (_ideal_levels(code, top, walk), _subcode_levels(code)):
+            table = _word_table(code)
+            for levels in (_ideal_levels(code, top, walk), _subcode_levels(code, table)):
                 analysis = CodeAnalysis(code, levels)
                 flag = analysis.witness()
                 if flag is None:
@@ -664,7 +665,7 @@ def test_subcode_levels_match_the_combined_rows_at_workload_scale(q):
             k = rng.randint(2, WORKLOAD_K[q])
             code = sparse_code(rng, field, p, k, rng.choice((0.15, 0.3, 0.6)))
             where = f"{family} q={q} n={n} basis={code.subspace.basis}"
-            assert _subcode_levels(code) == _combined_subcode_levels(code), where
+            assert _subcode_levels(code, _word_table(code)) == _combined_subcode_levels(code), where
 
 
 # q -> largest k for the per-free-set oracle, which builds sum_p (q + 1)^(k-1-p)
@@ -693,7 +694,7 @@ def test_each_pivots_words_give_the_per_free_set_levels(family, q):
 def _assert_per_free_set_levels(code, where):
     k = code.k
     oracle = _per_free_set_row_closures(code)
-    assert _subcode_levels(code) == _fold_subcode_levels(k, oracle), where
+    assert _subcode_levels(code, _word_table(code)) == _fold_subcode_levels(k, oracle), where
     # The levels cannot see a row that also takes a word with a nonzero
     # coefficient outside its free set: such a form still spans an
     # r-dimensional subcode, one that another form spans too.  So the
@@ -820,7 +821,7 @@ def _has_flag_by_each_builder(code):
     walk = _ideal_walk(code.poset, top, 1 << code.n)
     return [
         bool(CodeAnalysis(code, levels).flag_count)
-        for levels in (_ideal_levels(code, top, walk), _subcode_levels(code))
+        for levels in (_ideal_levels(code, top, walk), _subcode_levels(code, _word_table(code)))
     ]
 
 

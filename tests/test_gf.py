@@ -3,6 +3,7 @@ import random
 import pytest
 
 from posetcodes import GF, InputError, RangeError
+from posetcodes import codes
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 EXHAUSTIVE_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
@@ -171,9 +172,12 @@ def test_large_extension_products_match_the_schoolbook_product(q):
 
 
 # every kind of field the package accepts, up to q = 2^16: prime fields with
-# one-, two- and four-byte lanes, characteristic-2 extensions with one- and
-# two-byte coordinates and odd extensions with several lanes per coordinate
-PACKED_Q = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 128, 243, 256, 257, 65521, 65536]
+# one-, two- and three-byte lanes (127, the largest prime whose guard bit fits
+# one byte), characteristic-2 extensions with one- and two-byte coordinates
+# and odd extensions with several one- or two-byte lanes per coordinate (131^2)
+PACKED_Q = [
+    2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 81, 127, 128, 243, 256, 257, 17161, 65521, 65536
+]
 
 
 def _unpacked(f, width, n, word):
@@ -198,7 +202,7 @@ def test_packed_rows_add_as_axpy(q):
     f = GF(q)
     rng = random.Random(f"packed:{q}")
     for n in (1, 2, 7, 13):
-        width, pack, add = f._packing(n)
+        width, pack, add = codes._packing(f, n)
         top = [q - 1] * n  # every digit p - 1: sums reach 2p - 2
         rows = [top, [0] * n] + [[rng.randrange(q) for _ in range(n)] for _ in range(8)]
         for row in rows:
