@@ -258,11 +258,10 @@ def _resolve_partition(args, poset):
 
 
 def _check_pairs(size, budget):
-    """Refuse a positive size whose n (n - 1) / 2 pairs exceed the budget, before the
-    order masks and the chain partition's matching, which grow with the pairs, exist."""
-    if size > 0:
-        message = "{count} pairs of a poset on {size} elements exceed the budget {budget}"
-        check_budget(size * (size - 1) // 2, budget, message, size=size)
+    """Refuse a size whose n (n - 1) / 2 pairs exceed the budget, before the order
+    masks and the chain partition's matching, which grow with the pairs, exist."""
+    message = "{count} pairs of a poset on {size} elements exceed the budget {budget}"
+    check_budget(size * (size - 1) // 2, budget, message, size=size)
 
 
 def _cmd_bound(args):
@@ -288,10 +287,9 @@ def _cmd_bound(args):
 
 def _cmd_census(args):
     size, build = poset_builder(_read_json(args.poset))
-    if size > 0:
-        # the size checks come before the order masks; past n = 1 + log2(budget)
-        # the subspace counts exceed the budget, so only --max-dim 0 meets _check_pairs
-        _census_sizes(size, args.q, args.max_dim, args.budget)
+    # the size checks come before the order masks; past n = 1 + log2(budget)
+    # the subspace counts exceed the budget, so only --max-dim 0 meets _check_pairs
+    _census_sizes(size, args.q, args.max_dim, args.budget)
     _check_pairs(size, args.budget)
     poset = build()
     rep = census(poset, args.q, args.max_dim, args.budget)

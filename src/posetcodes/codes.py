@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress
 from operator import or_, xor
 
@@ -243,8 +243,8 @@ def _insert(field: FiniteField, basis, v):
     The one elimination besides ``linalg._rref_rows``: the ideal walk
     extends a stacked basis by one column per lattice edge, and re-running
     ``_rref_rows`` on the whole stack instead is about three times slower.
-    Best of 3-5 runs on a 2-vCPU VM, Python 3.11: ``_ideal_levels`` on the
-    antichain(14), k = 7 code of ``test_ideal_path_keeps_no_list_per_ideal``
+    Best of 3-5 runs on a 2-vCPU VM, Python 3.11: the ideal path's levels of
+    the antichain(14), k = 7 code of ``test_ideal_path_keeps_no_list_per_ideal``
     went from 29 to 89 ms, and ``analyze_code`` on the k = 14 dual of a
     seeded k = 2 code on antichain(16) from 0.29 to 0.82 s.
     """
@@ -268,12 +268,6 @@ def _walk_ideals(top: int, walk):
         if depth:
             masks[depth] = masks[depth - 1] ^ (1 << e)
         yield masks[depth]
-
-
-def _ideal_levels(c: LinearCode, top: int, walk) -> tuple[frozenset[int], ...]:
-    """Levels L_1..L_k (ideals as bitmasks) from the walk record of the ideals
-    inside ``top`` = closure(supp C)."""
-    return _least_ideals(c.k, _ideal_records(c, top, walk))
 
 
 def _ideal_records(c: LinearCode, top: int, walk):
@@ -309,9 +303,9 @@ def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(level) for level in levels[1:])
 
 
-def _subcode_levels(c: LinearCode, table) -> tuple[frozenset[int], ...]:
+def _subcode_levels(table) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k: L_r is the set of least ideal closures of the
-    r-dimensional subcodes.  ``table`` is C's ``_word_table``.
+    r-dimensional subcodes.  ``table`` is C's ``_word_table``, k entries.
 
     A subcode is the row space of an r-by-k coefficient RREF form, and its
     closure is the union of the closures of the form's rows.  For a fixed
@@ -323,7 +317,7 @@ def _subcode_levels(c: LinearCode, table) -> tuple[frozenset[int], ...]:
     first from the last pivot down, and each pivot is folded once per set
     of later pivots: 2^k - 1 folds in all.
     """
-    k = c.k
+    k = len(table)
     closures_of_rows = _row_closures(table)
 
     def fold(unions, taken, last):
@@ -388,9 +382,12 @@ def _word_table(c: LinearCode):
     are in lexicographic order of x: entry i has x_j = digit k - 1 - j of i
     in base q (see ``_table_row``).  The words are built on packed rows by
     additions only: appending, for each a, a * b_j (packed once per (j, a))
-    to every word built so far adds column j as the next digit up.
+    to every word built so far adds column j as the next digit up.  A table
+    of k < 2 adds no word, so it packs nothing.
     """
     field, k, n, basis = c.field, c.k, c.n, c.subspace.basis
+    if k < 2:
+        return [([0], [c.poset.ideal_mask(_support_mask(row))]) for row in basis]
     width, pack, add = _packing(field, n)
     # a coordinate is nonzero iff one of its bytes is
     down = [d for d in c.poset._down for _ in range(width)]
@@ -488,28 +485,23 @@ def _count_chains(levels):
 
 class CodeAnalysis:
     """Hierarchy, flag count and witness flag of one code, from its levels
-    L_1..L_k (empty for the zero code) and, on the subcode path, its word
-    table.
+    L_1..L_k (empty for the zero code) and ``within``, its reader of the
+    pivots and RREF rows of C ∩ F^I (``_coefficients_within`` by default).
 
     The chain counts compare the ideals of consecutive levels pairwise, so
     they are built on first use: the hierarchy alone never pays for them.
     """
 
-    __slots__ = ("code", "hierarchy", "_levels", "_table", "_chain_counts")
-
-    def __init__(self, c: LinearCode, levels, table=None):
+    def __init__(self, c: LinearCode, levels, within=None):
         self.code = c
         self.hierarchy = tuple(next(iter(level)).bit_count() for level in levels)
         self._levels = levels
-        self._table = table
-        self._chain_counts = None
+        self._within = partial(_coefficients_within, c) if within is None else within
 
-    @property
+    @cached_property
     def chain_counts(self):
         """The counts of ``_count_chains``, built on first use."""
-        if self._chain_counts is None:
-            self._chain_counts = _count_chains(self._levels)
-        return self._chain_counts
+        return _count_chains(self._levels)
 
     @property
     def flag_count(self) -> int:
@@ -524,22 +516,17 @@ class CodeAnalysis:
         enumeration order that contains the previous one and still extends
         to a full flag; an achiever extends iff its closure starts a chain.
         Enumeration order is the order of the coefficient RREF forms:
-        pivot columns first, then the entries row by row.  The form of
-        C ∩ F^I is read from the word table when there is one, and found by
-        elimination otherwise.
+        pivot columns first, then the entries row by row, so the least
+        reading of ``within`` wins.
         """
         if not self.flag_count:
             return None
         c = self.code
-        if self._table is None:
-            within = partial(_coefficients_within, c)
-        else:
-            within = partial(_table_within, self._table, c.k, c.field.q)
         subspaces = []
         previous = 0
         for level in self.chain_counts:
             forms = (
-                (within(ideal), ideal)
+                (self._within(ideal), ideal)
                 for ideal in level
                 if not previous & ~ideal
             )
@@ -555,20 +542,20 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
 
     The levels come from the ideals inside the closure S of the code support
     when there are at most sum_r [k r]_q of them (recorded before any rank
-    work), and otherwise from the closures of C's word table, which also
-    gives the witness its subcodes.  ``budget`` caps the ideals or the
-    subcodes of the path taken.
+    work), and otherwise from the closures of C's word table.  The analysis
+    reads C ∩ F^I by elimination on the first path and off the table on the
+    second.  ``budget`` caps the ideals or the subcodes of the path taken.
     """
     top = c.poset.ideal_mask(_code_support_mask(c))
     subcodes = sum(gaussian_row(c.k, c.field.q)[1:])
     limit = subcodes if budget is None else min(subcodes, budget)
     walk = _ideal_walk(c.poset, top, limit)
     if walk is not None:
-        return CodeAnalysis(c, _ideal_levels(c, top, walk))
+        return CodeAnalysis(c, _least_ideals(c.k, _ideal_records(c, top, walk)))
     message = "more than {limit} ideals and {count} subcodes exceed the budget {budget}"
     check_budget(subcodes, budget, message, limit=limit)
     table = _word_table(c)
-    return CodeAnalysis(c, _subcode_levels(c, table), table)
+    return CodeAnalysis(c, _subcode_levels(table), partial(_table_within, table, c.k, c.field.q))
 
 
 # -- matrix codes -----------------------------------------------------------------

@@ -3,9 +3,10 @@
 The bound sums, over the chains of a partition of the poset and over each
 dimension available inside a chain, the number of subspaces supported in
 that chain; every such code satisfies the chain condition because its
-support is totally ordered.  The census enumerates all subcodes of the
-ambient space outright and tallies how many satisfy the condition, which
-both validates the bound and quantifies its slack.
+support is totally ordered.  The census counts the codes of each dimension
+that satisfy the condition, which validates the bound and quantifies its
+slack: dimensions 1, 2, n - 2, n - 1 and n by theorem, without enumerating
+a code, and the others by replay or by one analysis per code.
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ from posetcodes.codes import (
     _code_support_mask,
     _coefficients_within,
     _fewest_ideals,
-    _ideal_levels,
+    _ideal_records,
     _ideal_walk,
+    _least_ideals,
     _row_closures,
     _subcode_levels,
     _table_row,
@@ -94,8 +95,8 @@ def test_both_level_builders_match_the_oracles(family, q):
         # S has at most 2^n ideals, so this record is never capped
         walk = _ideal_walk(code.poset, top, 1 << code.n)
         for build, levels in (
-            (_ideal_levels, _ideal_levels(code, top, walk)),
-            (_subcode_levels, _subcode_levels(code, _word_table(code))),
+            (_least_ideals, _least_ideals(code.k, _ideal_records(code, top, walk))),
+            (_subcode_levels, _subcode_levels(_word_table(code))),
         ):
             analysis = CodeAnalysis(code, levels)
             where = f"{build.__name__} on {family} q={q} n={code.n} basis={code.subspace.basis}"
@@ -133,7 +134,8 @@ def test_witness_subspaces_pass_full_validation(q):
             top = code.poset.ideal_mask(_code_support_mask(code))
             walk = _ideal_walk(code.poset, top, 1 << n)
             table = _word_table(code)
-            for levels in (_ideal_levels(code, top, walk), _subcode_levels(code, table)):
+            ideal_levels = _least_ideals(code.k, _ideal_records(code, top, walk))
+            for levels in (ideal_levels, _subcode_levels(table)):
                 analysis = CodeAnalysis(code, levels)
                 flag = analysis.witness()
                 if flag is None:
@@ -207,7 +209,7 @@ def test_table_witness_is_the_first_exhaustive_flag(q):
         k = rng.randint(2, TABLE_WITNESS_K[q])
         code = sparse_code(rng, field, p, k, rng.choice((0.5, 0.8, 1.0)))
         analysis = analyze_code(code)
-        if analysis._table is None:  # the ideal path
+        if analysis._within.func is _coefficients_within:  # the ideal path
             continue
         flags = exhaustive_flags(code)
         where = f"q={q} n={n} basis={code.subspace.basis}"
@@ -220,8 +222,25 @@ def test_table_witness_is_the_first_exhaustive_flag(q):
 def test_table_witness_of_a_flagless_code_is_none(q):
     n = len(FLAGLESS[q][0])
     analysis = analyze_code(LinearCode(antichain(n), span(GF(q), n, FLAGLESS[q])))
-    assert analysis._table is not None
+    assert analysis._within.func is _table_within
     assert analysis.flag_count == 0 and analysis.witness() is None
+
+
+@pytest.mark.parametrize("q", [65536, 65521, 59049])
+def test_one_dimensional_table_packs_no_field(q):
+    # a k = 1 table holds the one basis row, so it builds no lane bytes of
+    # the q field elements, which take megabytes at these orders
+    field = GF(q)
+    row = (1, 0, 2, q - 1, 0, 3, q - 2, 1)
+    code = LinearCode(antichain(8), span(field, 8, [row]))
+    tracemalloc.start()
+    try:
+        flag = analyze_code(code).witness()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert flag == exhaustive_flags(code)[0]
 
 
 def test_zero_code_has_one_empty_flag(f2):
@@ -339,7 +358,10 @@ def test_ideal_path_keeps_no_list_per_ideal(f2):
     walk = _ideal_walk(code.poset, top, 1 << n)
     record = sum(len(a) * a.itemsize for a in walk)
     peaks = []
-    for run in (lambda: _ideal_levels(code, top, walk), lambda: analyze_code(code)):
+    for run in (
+        lambda: _least_ideals(code.k, _ideal_records(code, top, walk)),
+        lambda: analyze_code(code),
+    ):
         tracemalloc.start()
         try:
             result = run()
@@ -665,7 +687,7 @@ def test_subcode_levels_match_the_combined_rows_at_workload_scale(q):
             k = rng.randint(2, WORKLOAD_K[q])
             code = sparse_code(rng, field, p, k, rng.choice((0.15, 0.3, 0.6)))
             where = f"{family} q={q} n={n} basis={code.subspace.basis}"
-            assert _subcode_levels(code, _word_table(code)) == _combined_subcode_levels(code), where
+            assert _subcode_levels(_word_table(code)) == _combined_subcode_levels(code), where
 
 
 # q -> largest k for the per-free-set oracle, which builds sum_p (q + 1)^(k-1-p)
@@ -694,7 +716,7 @@ def test_each_pivots_words_give_the_per_free_set_levels(family, q):
 def _assert_per_free_set_levels(code, where):
     k = code.k
     oracle = _per_free_set_row_closures(code)
-    assert _subcode_levels(code, _word_table(code)) == _fold_subcode_levels(k, oracle), where
+    assert _subcode_levels(_word_table(code)) == _fold_subcode_levels(k, oracle), where
     # The levels cannot see a row that also takes a word with a nonzero
     # coefficient outside its free set: such a form still spans an
     # r-dimensional subcode, one that another form spans too.  So the
@@ -821,7 +843,10 @@ def _has_flag_by_each_builder(code):
     walk = _ideal_walk(code.poset, top, 1 << code.n)
     return [
         bool(CodeAnalysis(code, levels).flag_count)
-        for levels in (_ideal_levels(code, top, walk), _subcode_levels(code, _word_table(code)))
+        for levels in (
+            _least_ideals(code.k, _ideal_records(code, top, walk)),
+            _subcode_levels(_word_table(code)),
+        )
     ]
 
 
