@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import partial
 
 from .codes import (
     Flag,
     LinearCode,
+    _support_mask,
     flatten_matrix,
-    generalized_weight,
     hierarchy_within_bounds,
     poset_weight,
     rt_weight,
@@ -27,9 +26,11 @@ from .gf import GF
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
+    _combine,
+    _rref_canonical_forms,
     _rref_rows,
     _span,
-    enumerate_subspaces,
+    gaussian_binomial,
     is_subspace_of,
 )
 from .poset import disjoint_chains
@@ -58,43 +59,105 @@ def describe_code(code: LinearCode) -> str:
     )
 
 
-def _least_weight_subspaces(s: Subspace, weight, budget):
-    """The least ``weight`` of the r-dimensional subspaces of ``s`` for each
-    r = 1..dim, and the subspaces of that weight in enumeration order;
-    ``budget`` caps each r separately."""
+def _forms(table, field, k: int, r: int, budget):
+    """The r-by-k RREF coefficient forms over ``field``, in enumeration order.
+
+    The budget check of ``enumerate_subspaces`` comes first, with the
+    dimension named.  ``table`` keeps the forms of each (q, r, k) with at
+    most ``_TABLE_FORMS`` of them for its later calls; a larger count
+    streams from ``_rref_canonical_forms`` on every call.
+    """
+    count = gaussian_binomial(k, r, field.q)
+    message = (
+        "hierarchy dimension {r}: {count} subspaces of dimension {r} exceed the budget {budget}"
+    )
+    try:
+        check_budget(count, budget, message, r=r)
+    except BudgetExceeded as exc:
+        exc.r = r
+        raise
+    key = (field.q, r, k)
+    forms = table.get(key)
+    if forms is None:
+        forms = _rref_canonical_forms(field, r, k)
+        if count <= _TABLE_FORMS:
+            forms = table[key] = tuple(forms)
+    return forms
+
+
+class _Memo(dict):
+    """``of(key)`` for each key, computed on first use; emptied when it
+    holds ``_TABLE_FORMS`` keys, so its memory stays flat at any q."""
+
+    def __init__(self, of):
+        super().__init__()
+        self.of = of
+
+    def __missing__(self, key):
+        if len(self) >= _TABLE_FORMS:
+            self.clear()
+        value = self[key] = self.of(key)
+        return value
+
+
+def _least_weight_forms(s: Subspace, support, size, budget, table):
+    """The least weight of the r-dimensional subspaces of ``s`` for each
+    r = 1..dim, and the coefficient forms of that weight in enumeration
+    order; ``budget`` caps each r separately.
+
+    A form's weight is ``size`` of the union of the ``support`` bitmasks of
+    its words x G, x a row of the form and G the basis of ``s``; each row's
+    bitmask is computed once per call while there are at most
+    ``_TABLE_FORMS`` rows, [k 1]_q of them.
+    """
+    field, basis, n = s.field, s.basis, s.n
+    bits = _Memo(lambda x: support(_combine(field, x, basis, n)))
     least, achievers = [], []
     for r in range(1, s.dim + 1):
-        try:
-            subs = enumerate_subspaces(s, r, budget)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(
-                f"hierarchy dimension {r}: {exc}", count=exc.count, budget=exc.budget, r=r
-            ) from None
         best, kept = None, []
-        for d in subs:
-            w = weight(d)
+        for form in _forms(table, field, s.dim, r, budget):
+            union = 0
+            for x in form:
+                union |= bits[x]
+            w = size(union)
             if best is None or w < best:
-                best, kept = w, [d]
+                best, kept = w, [form]
             elif w == best:
-                kept.append(d)
+                kept.append(form)
         least.append(best)
         achievers.append(kept)
     return tuple(least), achievers
 
 
-def support_union_hierarchy(s: Subspace, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
+def support_union_hierarchy(
+    s: Subspace, budget: int | None = DEFAULT_BUDGET, table=None
+) -> tuple[int, ...]:
     """Classical generalized-weight hierarchy: minimum size of the support
     union over r-dimensional subspaces, with no ideal closure involved.
-    Independent oracle for the antichain reduction."""
-    return _least_weight_subspaces(
-        s, lambda d: len(frozenset().union(*map(support_of_vector, d.basis))), budget
-    )[0]
+    Independent oracle for the antichain reduction.  ``table`` is the forms
+    table of the caller; without one the call builds its own."""
+    table = {} if table is None else table
+    return _least_weight_forms(s, _support_bits, int.bit_count, budget, table)[0]
 
 
-def _poset_achievers(c: LinearCode, budget):
-    """The weight hierarchy of ``c`` and the achievers of each dimension."""
-    weight = partial(generalized_weight, c.poset)
-    hier, achievers = _least_weight_subspaces(c.subspace, weight, budget)
+def _support_bits(word) -> int:
+    """The support of ``word`` as a bitmask read off ``support_of_vector``,
+    apart from the masks that the poset weight closes."""
+    return sum(1 << i for i in support_of_vector(word))
+
+
+def _poset_achievers(c: LinearCode, budget, table):
+    """The weight hierarchy of ``c`` and the coefficient forms achieving
+    each dimension: the weight of a union of supports is the size of its
+    ideal closure, computed once per union."""
+    closure = _Memo(lambda mask: c.poset.ideal_mask(mask).bit_count())
+    return _least_weight_forms(c.subspace, _support_mask, closure.__getitem__, budget, table)
+
+
+def _exhaustive(c: LinearCode, budget):
+    """``_poset_achievers`` on a table of its own, refusing a hierarchy
+    that violates its invariants."""
+    hier, achievers = _poset_achievers(c, budget, {})
     if not hierarchy_within_bounds(c.n, c.k, hier):
         raise AssertionError(f"computed hierarchy {hier} violates its invariants")
     return hier, achievers
@@ -103,23 +166,35 @@ def _poset_achievers(c: LinearCode, budget):
 def exhaustive_hierarchy(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> tuple[int, ...]:
     """Weight hierarchy from the subcodes of every dimension; ``budget``
     caps each dimension separately."""
-    return _poset_achievers(c, budget)[0]
+    return _exhaustive(c, budget)[0]
 
 
 def exhaustive_flags(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> list[Flag]:
     """Every maximal flag achieving the weight hierarchy, in subspace
     enumeration order; empty when the chain condition fails."""
-    return _maximal_flags(*_poset_achievers(c, budget))
+    return _maximal_flags(c.subspace, *_exhaustive(c, budget))
 
 
-def _maximal_flags(hierarchy, achievers) -> list[Flag]:
+def _subspaces(s: Subspace, forms) -> list[Subspace]:
+    """The subspaces of ``s`` with the given coefficient forms, each
+    spanned by its form's rows times the basis of ``s``: an RREF form times
+    an RREF basis is in RREF (see ``linalg._iter_subspaces``)."""
+    field, basis, n = s.field, s.basis, s.n
+    return [
+        Subspace._trusted(field, n, tuple(_combine(field, x, basis, n) for x in form))
+        for form in forms
+    ]
+
+
+def _maximal_flags(s: Subspace, hierarchy, achievers) -> list[Flag]:
     """Depth-first search for nested achievers, each level in enumeration order."""
+    levels = [_subspaces(s, forms) for forms in achievers]
 
     def extend(stack):
-        if len(stack) == len(achievers):
+        if len(stack) == len(levels):
             yield Flag(tuple(stack), hierarchy)
             return
-        for d in achievers[len(stack)]:
+        for d in levels[len(stack)]:
             if not stack or is_subspace_of(stack[-1], d):
                 yield from extend(stack + [d])
 
@@ -147,12 +222,17 @@ def greedy_flag(c: LinearCode) -> Flag:
     return Flag(subspaces, tuple(poset_weight(p, row) for row in rows))
 
 
-def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expect=None):
+def instance_checks(
+    code: LinearCode, budget: int | None = DEFAULT_BUDGET, expect=None, table=None
+):
     """All applicable invariants for one instance, from the exhaustive
     oracles alone.  Each dimension is enumerated once for the poset weight,
-    and the flags, when needed, come from the same achievers."""
+    and the flags, when needed, come from the same achievers.  ``table`` is
+    the forms table of the caller's batch; without one the call builds its
+    own."""
+    table = {} if table is None else table
     out = []
-    hier, achievers = _poset_achievers(code, budget)
+    hier, achievers = _poset_achievers(code, budget, table)
     out.append(
         CheckResult(
             "monotonicity_and_singleton",
@@ -161,7 +241,7 @@ def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expec
         )
     )
     if code.poset.is_antichain():
-        wei = support_union_hierarchy(code.subspace, budget)
+        wei = support_union_hierarchy(code.subspace, budget, table)
         hamming_ok = all(
             poset_weight(code.poset, row) == len(support_of_vector(row))
             for row in code.subspace.basis
@@ -175,7 +255,7 @@ def instance_checks(code: LinearCode, budget: int | None = DEFAULT_BUDGET, expec
         )
     total = code.k > 0 and code.poset.is_total_on(support_of_code(code))
     expects_flags = expect is not None and ("chain_condition" in expect or "unique" in expect)
-    flags = _maximal_flags(hier, achievers) if total or expects_flags else None
+    flags = _maximal_flags(code.subspace, hier, achievers) if total or expects_flags else None
     if total:
         greedy = greedy_flag(code)
         dfs = flags[0] if flags else None
@@ -237,6 +317,13 @@ def _expectation_checks(code, hier, flags, expect):
 # distinct anyway, and the bound keeps the memory of a long batch flat.
 _VERDICT_KEYS = 512
 
+# Coefficient forms one forms-table entry holds at most, at most about
+# 0.5 MB, and keys one per-instance memo holds.  A batch draws k <= 4, so
+# at q <= 7 it keeps every (q, r, k) it meets ([4 2]_7 = 2,850 forms,
+# 0.18 MB); a larger [k r]_q is listed anew for each instance, so the
+# memory of a table stays flat at any q.
+_TABLE_FORMS = 4096
+
 
 def batch_checks(
     seed: int,
@@ -253,6 +340,8 @@ def batch_checks(
     run once per distinct instance of the call: a repeated draw reuses the
     failing checks of its first occurrence and still reports them under its
     own index.  At most ``_VERDICT_KEYS`` instances are remembered at a time.
+    The instances share one forms table, which the call drops when it
+    returns.
 
     A ``random_cover`` poset on n elements draws one coin per pair, so a
     ``max_n`` with more than ``budget`` pairs is refused before any draw.
@@ -273,6 +362,7 @@ def batch_checks(
     # (q, order, basis) -> that instance's failing checks; a passing
     # instance holds the one empty tuple
     verdicts = {}
+    table = {}
 
     def code_failures(prefix, draw_code):
         for i in range(batch):
@@ -283,7 +373,7 @@ def batch_checks(
             key = (q, p._down, code.subspace.basis)
             failed = verdicts.get(key)
             if failed is None:
-                failed = tuple(res for res in instance_checks(code, budget) if not res.ok)
+                failed = tuple(r for r in instance_checks(code, budget, table=table) if not r.ok)
                 if len(verdicts) >= _VERDICT_KEYS:
                     verdicts.clear()
                 verdicts[key] = failed

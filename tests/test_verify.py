@@ -4,13 +4,21 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from posetcodes import GF, LinearCode, antichain, chain, full_space, span, weight_hierarchy
 from posetcodes import cli, codes, verify
-from posetcodes.codes import flatten_matrix, poset_weight, rt_weight
-from posetcodes.linalg import DEFAULT_BUDGET, enumerate_subspaces
+from posetcodes.codes import (
+    Flag,
+    flatten_matrix,
+    generalized_weight,
+    poset_weight,
+    rt_weight,
+    support_of_vector,
+)
+from posetcodes.linalg import DEFAULT_BUDGET, enumerate_subspaces, is_subspace_of
 from posetcodes.poset import disjoint_chains
 from posetcodes.random_instances import (
     POSET_FAMILIES,
@@ -26,6 +34,7 @@ from posetcodes.verify import (
     instance_checks,
     support_union_hierarchy,
 )
+from conftest import DEMO
 
 
 def test_instance_checks_pass_on_demo_codes(code_weak, code_hamming):
@@ -78,12 +87,13 @@ def test_describe_code_is_reproducible(f2):
 def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
     # one enumeration per dimension serves the hierarchy and the flags
     calls = []
+    forms = verify._forms
 
-    def counted(s, r, budget=None):
+    def counted(table, field, k, r, budget):
         calls.append(r)
-        return enumerate_subspaces(s, r, budget)
+        return forms(table, field, k, r, budget)
 
-    monkeypatch.setattr(verify, "enumerate_subspaces", counted)
+    monkeypatch.setattr(verify, "_forms", counted)
     expect = {"hierarchy": [7, 19, 25], "chain_condition": True, "unique": True}
     chain_code = LinearCode(chain(4), span(f2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)]))
     for code, exp in ((code_weak, expect), (code_weak, None), (chain_code, {"unique": True})):
@@ -92,6 +102,27 @@ def test_one_exhaustive_hierarchy_per_instance(monkeypatch, f2, code_weak):
         assert all(r.ok for r in results), results
         assert "greedy_matches_dfs" in {r.name for r in results}
         assert calls == list(range(1, code.k + 1))
+
+
+def test_an_out_of_bounds_hierarchy_fails_its_check_and_exits_4(monkeypatch, capsys, code_weak):
+    # every word's support is element 1 alone, a minimal element of the weak
+    # order, so every dimension weighs 1
+    monkeypatch.setattr(verify, "_support_mask", lambda word: 1)
+    results = instance_checks(code_weak)
+    assert results[0] == CheckResult("monotonicity_and_singleton", False, "hierarchy (1, 1, 1)")
+    with pytest.raises(AssertionError, match=r"computed hierarchy \(1, 1, 1\) violates"):
+        verify.exhaustive_hierarchy(code_weak)
+    argv = ["verify", "--poset", str(DEMO / "weak_order_9x3.json")]
+    argv += ["--code", str(DEMO / "code_27_3.txt")]
+    assert cli.main(argv) == cli.EXIT_PROPERTY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["checks"][0] == {
+        "name": "monotonicity_and_singleton",
+        "ok": False,
+        "detail": "hierarchy (1, 1, 1)",
+    }
+    assert err.startswith("FAILED monotonicity_and_singleton\nhierarchy (1, 1, 1)\n")
+    assert "Traceback" not in err
 
 
 def test_checks_never_ask_the_engine(monkeypatch, code_weak, code_hamming):
@@ -209,9 +240,9 @@ def counted_instance_checks(monkeypatch):
     seen = []
     checks = verify.instance_checks
 
-    def counted(code, budget=DEFAULT_BUDGET, expect=None):
+    def counted(code, budget=DEFAULT_BUDGET, expect=None, table=None):
         seen.append(describe_code(code))
-        return checks(code, budget, expect)
+        return checks(code, budget, expect, table)
 
     monkeypatch.setattr(verify, "instance_checks", counted)
     return seen
@@ -256,8 +287,8 @@ def test_every_repeat_reports_its_own_failure(monkeypatch):
     assert times >= 3
     checks = verify.instance_checks
 
-    def planted(code, budget=DEFAULT_BUDGET, expect=None):
-        out = checks(code, budget, expect)
+    def planted(code, budget=DEFAULT_BUDGET, expect=None, table=None):
+        out = checks(code, budget, expect, table)
         if describe_code(code) == target:
             out[0] = CheckResult(out[0].name, False, "planted failure")
         return out
@@ -283,10 +314,10 @@ def test_remembered_instances_stay_under_the_bound(monkeypatch):
     sizes = []
     checks = verify.instance_checks
 
-    def measured(code, budget=DEFAULT_BUDGET, expect=None):
+    def measured(code, budget=DEFAULT_BUDGET, expect=None, table=None):
         # the caller is the batch's draw loop, which holds the memo
         sizes.append(len(sys._getframe(1).f_locals["verdicts"]))
-        return checks(code, budget, expect)
+        return checks(code, budget, expect, table)
 
     monkeypatch.setattr(verify, "instance_checks", measured)
     for case in cases:
@@ -318,3 +349,136 @@ def test_long_batch_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 1_400_000
+
+
+# -- the forms table against the subspace oracle it replaced ----------------
+
+
+def reference_least_weight(s, weight, budget=DEFAULT_BUDGET):
+    """The oracle as it was: every subspace from ``enumerate_subspaces``,
+    weighed one by one; the least weight of each dimension and its
+    subspaces in enumeration order."""
+    least, achievers = [], []
+    for r in range(1, s.dim + 1):
+        best, kept = None, []
+        for d in enumerate_subspaces(s, r, budget):
+            w = weight(d)
+            if best is None or w < best:
+                best, kept = w, [d]
+            elif w == best:
+                kept.append(d)
+        least.append(best)
+        achievers.append(kept)
+    return tuple(least), achievers
+
+
+def reference_flags(hierarchy, achievers):
+    def extend(stack):
+        if len(stack) == len(achievers):
+            yield Flag(tuple(stack), hierarchy)
+            return
+        for d in achievers[len(stack)]:
+            if not stack or is_subspace_of(stack[-1], d):
+                yield from extend(stack + [d])
+
+    return list(extend([]))
+
+
+def support_union_size(d):
+    return len(frozenset().union(*map(support_of_vector, d.basis)))
+
+
+def differential_codes(q):
+    """Seeded draws over every poset family at GF(q): batch-sized codes
+    (n <= 6, k <= 4, each family once with k = 4), then instance-sized ones
+    with k = 5 and 6 at q = 2 and k = 5 at q = 3 ([6 3]_3 = 33,880)."""
+    rng = random.Random(q)
+    for family in POSET_FAMILIES * 2:
+        p = random_poset(rng, family, rng.randint(1, 6))
+        yield random_code(rng, GF(q), p, rng.randint(1, min(4, p.n)))
+    for family in POSET_FAMILIES:
+        yield random_code(rng, GF(q), random_poset(rng, family, rng.randint(4, 6)), 4)
+    for k in {2: (5, 6), 3: (5,)}.get(q, ()):
+        for family in POSET_FAMILIES:
+            yield random_code(rng, GF(q), random_poset(rng, family, rng.randint(k, 8)), k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_forms_match_the_subspace_oracle(q):
+    assert_forms_match_the_subspace_oracle(q)
+
+
+def test_forms_match_the_subspace_oracle_past_a_small_cap(monkeypatch):
+    # with a cap of 4, most dimensions stream and every memo is emptied often
+    monkeypatch.setattr(verify, "_TABLE_FORMS", 4)
+    sizes = []
+
+    class Recorded(verify._Memo):
+        def __missing__(self, key):
+            value = super().__missing__(key)
+            sizes.append(len(self))
+            return value
+
+    monkeypatch.setattr(verify, "_Memo", Recorded)
+    assert_forms_match_the_subspace_oracle(3)
+    assert max(sizes) == 4
+
+
+def assert_forms_match_the_subspace_oracle(q):
+    table = {}  # one table for every draw, as in a batch
+    for code in differential_codes(q):
+        s = code.subspace
+        hier, achievers = reference_least_weight(s, partial(generalized_weight, code.poset))
+        assert verify.exhaustive_hierarchy(code) == hier
+        got, forms = verify._poset_achievers(code, DEFAULT_BUDGET, table)
+        assert got == hier
+        assert [verify._subspaces(s, level) for level in forms] == achievers
+        assert verify.exhaustive_flags(code) == reference_flags(hier, achievers)
+        wei = reference_least_weight(s, support_union_size)[0]
+        assert support_union_hierarchy(s, DEFAULT_BUDGET, table) == wei
+        assert support_union_hierarchy(s) == wei
+    # every kept entry lists the forms in enumeration order: the subspaces of
+    # GF(q)^k have their coefficient forms as bases
+    assert table
+    for (q, r, k), forms in table.items():
+        assert len(forms) <= verify._TABLE_FORMS
+        assert forms == tuple(d.basis for d in enumerate_subspaces(full_space(GF(q), k), r))
+
+
+def counted_form_builds(monkeypatch):
+    """Route ``verify._rref_canonical_forms`` through a counter of the
+    (q, r, k) it is called with."""
+    built = Counter()
+    forms = verify._rref_canonical_forms
+
+    def counted(field, r, k):
+        built[field.q, r, k] += 1
+        return forms(field, r, k)
+
+    monkeypatch.setattr(verify, "_rref_canonical_forms", counted)
+    return built
+
+
+def test_each_batch_builds_its_own_table_once_per_key(monkeypatch):
+    built = counted_form_builds(monkeypatch)
+    for calls in (1, 2):
+        batch_checks(seed=7, batch=80, qs=(2, 3), max_n=4)
+        # every dimension of k <= 4 at q <= 3 is under the cap
+        assert built and set(built.values()) == {calls}
+        assert max(k for _, _, k in built) == 4
+
+
+def test_forms_past_the_cap_stream_in_flat_memory(monkeypatch):
+    # [4 2]_16 = 69,905 forms, which would take about 10 MB in a table
+    assert verify._TABLE_FORMS < 69_905
+    built = counted_form_builds(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        results = batch_checks(seed=1, batch=3, qs=(16,), max_n=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.ok for r in results)
+    assert built[16, 2, 4] >= 2  # listed anew for each instance with k = 4
+    assert peak < 1_000_000
