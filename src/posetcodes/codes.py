@@ -29,7 +29,7 @@ from .linalg import (
     GeneratorFile,
     Matrix,
     Subspace,
-    _combine,
+    _form_subspace,
     _rref_rows,
     _span,
     gaussian_row,
@@ -98,16 +98,14 @@ class LinearCode(namedtuple("LinearCode", "poset subspace")):
         return self.subspace.field
 
 
-def _code_support_mask(c: LinearCode) -> int:
-    mask = 0
-    for row in c.subspace.basis:
-        mask |= _support_mask(row)
-    return mask
+def _code_support_mask(s: Subspace) -> int:
+    """The support of ``s`` as a bitmask: the union of its rows' supports."""
+    return reduce(or_, map(_support_mask, s.basis), 0)
 
 
 def support_of_code(c: LinearCode) -> frozenset[int]:
     """Union of codeword supports; equals the union over the basis rows."""
-    mask = _code_support_mask(c)
+    mask = _code_support_mask(c.subspace)
     return frozenset(i + 1 for i in range(c.n) if (mask >> i) & 1)
 
 
@@ -115,10 +113,7 @@ def generalized_weight(p: Poset, d: Subspace) -> int:
     """Size of the union of ideals generated by the supports of all vectors of d."""
     if d.n != p.n:
         raise LengthMismatch(f"subspace of length {d.n} under a poset on {p.n} elements")
-    mask = 0
-    for row in d.basis:
-        mask |= _support_mask(row)
-    return p.ideal_mask(mask).bit_count()
+    return p.ideal_mask(_code_support_mask(d)).bit_count()
 
 
 # -- weight hierarchy, maximal flags and the chain condition ------------------------
@@ -285,8 +280,9 @@ def _ideal_records(c: LinearCode, top: int, walk):
 
 def _least_ideals(k: int, records) -> tuple[frozenset[int], ...]:
     """Levels L_1..L_k from (ideal, size, r) records: L_r is the set of least
-    ideals tagged r.
+    ideals tagged r.  It selects the levels of both paths and of ``census``.
 
+    The subcode path tags each closure of an r-dimensional subcode with r.
     The ideal path tags every ideal I with m(I) (see the note above).  Its
     ideals may be those inside any ideal containing S = closure(supp C): an
     ideal I outside S has m(I) = m(I ∩ S) with |I ∩ S| < |I|, so it is never
@@ -331,11 +327,8 @@ def _subcode_levels(table) -> tuple[frozenset[int], ...]:
     closures = [set() for _ in range(k)]  # of the subcodes of each dimension
     for grown, r in fold({0}, 0, k):
         closures[r - 1] |= grown
-    levels = []
-    for found in closures:
-        least = min(map(int.bit_count, found))
-        levels.append(frozenset(s for s in found if s.bit_count() == least))
-    return tuple(levels)
+    records = ((s, s.bit_count(), r) for r, found in enumerate(closures, 1) for s in found)
+    return _least_ideals(k, records)
 
 
 def _packing(field: FiniteField, n: int):
@@ -521,7 +514,6 @@ class CodeAnalysis:
         """
         if not self.flag_count:
             return None
-        c = self.code
         subspaces = []
         previous = 0
         for level in self.chain_counts:
@@ -531,9 +523,7 @@ class CodeAnalysis:
                 if not previous & ~ideal
             )
             (_, rows), previous = min(forms)
-            # an RREF coefficient form times an RREF basis is in RREF
-            basis = tuple(_combine(c.field, row, c.subspace.basis, c.n) for row in rows)
-            subspaces.append(Subspace._trusted(c.field, c.n, basis))
+            subspaces.append(_form_subspace(self.code.subspace, rows))
         return Flag(tuple(subspaces), self.hierarchy)
 
 
@@ -546,7 +536,7 @@ def analyze_code(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> CodeAnal
     reads C ∩ F^I by elimination on the first path and off the table on the
     second.  ``budget`` caps the ideals or the subcodes of the path taken.
     """
-    top = c.poset.ideal_mask(_code_support_mask(c))
+    top = c.poset.ideal_mask(_code_support_mask(c.subspace))
     subcodes = sum(gaussian_row(c.k, c.field.q)[1:])
     limit = subcodes if budget is None else min(subcodes, budget)
     walk = _ideal_walk(c.poset, top, limit)

@@ -15,7 +15,7 @@ from collections import namedtuple
 from itertools import islice
 
 from .codes import LinearCode, _count_chains, _ideal_walk, _least_ideals, _walk_ideals, analyze_code
-from .errors import InputError, RangeError, check_budget, count_text
+from .errors import InputError, RangeError, _Memo, check_budget, count_text
 from .gf import GF, _factor_prime_power
 from .linalg import (
     DEFAULT_BUDGET,
@@ -237,7 +237,12 @@ def _shared_census(field, r: int, forms, lattice) -> int:
     """
     masks, sizes, depths, removed = lattice
     spans, index, ms = [()], {(): 0}, [r]  # state 0: no column outside the top
-    steps, verdicts = {}, {}  # (state, column) -> state, m-profile -> verdict
+    steps = {}  # (state, column) -> state
+
+    def verdict_of(profile):
+        return bool(_count_chains(_least_ideals(r, zip(masks, sizes, profile)))[0])
+
+    verdicts = _Memo(verdict_of, _PROFILE_KEYS)  # m-profile -> verdict
 
     def advance(state, column):
         rows = tuple(_rref_rows(field, (*spans[state], column), r)[0])
@@ -260,14 +265,7 @@ def _shared_census(field, r: int, forms, lattice) -> int:
                 state = steps[key] = advance(*key)
             states[depth] = state
             profile.append(ms[state])
-        profile = bytes(profile)
-        verdict = verdicts.get(profile)
-        if verdict is None:
-            if len(verdicts) >= _PROFILE_KEYS:
-                verdicts.clear()
-            levels = _least_ideals(r, zip(masks, sizes, profile))
-            verdict = verdicts[profile] = bool(_count_chains(levels)[0])
-        satisfied += verdict
+        satisfied += verdicts[bytes(profile)]
     return satisfied
 
 

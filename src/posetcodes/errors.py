@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one text-file reader."""
+"""Exception types shared across the package, its one budget rule
+(``check_budget``), its one bounded memo (``_Memo``) and its one text-file reader."""
 
 from pathlib import Path
 
@@ -73,6 +74,21 @@ def check_budget(count: int | None, budget: int | None, message: str, **numbers)
     numbers.update(count=count, budget=budget)
     text = {k: count_text(v) if isinstance(v, int) else v for k, v in numbers.items()}
     raise BudgetExceeded(message.format_map(text), count=count, budget=budget)
+
+
+class _Memo(dict):
+    """``of(key)`` for each key, computed on first use; emptied when it
+    holds ``limit`` keys, so its memory stays flat however many keys come."""
+
+    def __init__(self, of, limit: int):
+        super().__init__()
+        self.of, self.limit = of, limit
+
+    def __missing__(self, key):
+        if len(self) >= self.limit:
+            self.clear()
+        value = self[key] = self.of(key)
+        return value
 
 
 def read_utf8(path) -> str:

@@ -12,6 +12,7 @@ turns runaway searches into a clean ``BudgetExceeded`` instead of a hang.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from itertools import combinations, islice, product
 
 from .errors import (
@@ -295,20 +296,24 @@ def enumerate_subspaces(ambient: Subspace, r: int, budget: int | None = DEFAULT_
     return _iter_subspaces(ambient, r)
 
 
+def _form_subspace(ambient: Subspace, form) -> Subspace:
+    """The subspace of ``ambient`` with the RREF coefficient ``form``: its basis
+    is form times the basis of ``ambient``, and that product is in RREF, since
+    each row is 1 at the ambient pivot of its own pivot, 0 before it and 0 at
+    the ambient pivots of the other rows' pivots."""
+    field, basis, n = ambient.field, ambient.basis, ambient.n
+    return Subspace._trusted(field, n, tuple(_combine(field, x, basis, n) for x in form))
+
+
 def _iter_subspaces(ambient, r):
     field, n = ambient.field, ambient.n
     if r == 0:
-        yield Subspace._trusted(field, n, ())
-        return
-    basis = ambient.basis
-    is_identity = ambient.dim == n and basis == _identity_rows(n)
-    # an RREF coefficient form times an RREF basis is in RREF: each row is
-    # 1 at the ambient pivot of its own pivot, 0 before it and 0 at the
-    # ambient pivots of the other rows' pivots
-    for coeff in _rref_canonical_forms(field, r, ambient.dim):
-        if not is_identity:
-            coeff = tuple(_combine(field, c, basis, n) for c in coeff)
-        yield Subspace._trusted(field, n, coeff)
+        return iter((Subspace._trusted(field, n, ()),))
+    forms = _rref_canonical_forms(field, r, ambient.dim)
+    if ambient.dim == n and ambient.basis == _identity_rows(n):
+        # over the identity basis each form is its own product
+        return map(partial(Subspace._trusted, field, n), forms)
+    return map(partial(_form_subspace, ambient), forms)
 
 
 def enumerate_nonzero_codewords(s: Subspace, budget: int | None = DEFAULT_BUDGET):

@@ -21,12 +21,13 @@ from .codes import (
     support_of_code,
     support_of_vector,
 )
-from .errors import BudgetExceeded, PreconditionViolated, check_budget
+from .errors import BudgetExceeded, PreconditionViolated, _Memo, check_budget
 from .gf import GF
 from .linalg import (
     DEFAULT_BUDGET,
     Subspace,
     _combine,
+    _form_subspace,
     _rref_canonical_forms,
     _rref_rows,
     _span,
@@ -85,21 +86,6 @@ def _forms(table, field, k: int, r: int, budget):
     return forms
 
 
-class _Memo(dict):
-    """``of(key)`` for each key, computed on first use; emptied when it
-    holds ``_TABLE_FORMS`` keys, so its memory stays flat at any q."""
-
-    def __init__(self, of):
-        super().__init__()
-        self.of = of
-
-    def __missing__(self, key):
-        if len(self) >= _TABLE_FORMS:
-            self.clear()
-        value = self[key] = self.of(key)
-        return value
-
-
 def _least_weight_forms(s: Subspace, support, size, budget, table):
     """The least weight of the r-dimensional subspaces of ``s`` for each
     r = 1..dim, and the coefficient forms of that weight in enumeration
@@ -111,7 +97,7 @@ def _least_weight_forms(s: Subspace, support, size, budget, table):
     ``_TABLE_FORMS`` rows, [k 1]_q of them.
     """
     field, basis, n = s.field, s.basis, s.n
-    bits = _Memo(lambda x: support(_combine(field, x, basis, n)))
+    bits = _Memo(lambda x: support(_combine(field, x, basis, n)), _TABLE_FORMS)
     least, achievers = [], []
     for r in range(1, s.dim + 1):
         best, kept = None, []
@@ -150,7 +136,7 @@ def _poset_achievers(c: LinearCode, budget, table):
     """The weight hierarchy of ``c`` and the coefficient forms achieving
     each dimension: the weight of a union of supports is the size of its
     ideal closure, computed once per union."""
-    closure = _Memo(lambda mask: c.poset.ideal_mask(mask).bit_count())
+    closure = _Memo(lambda mask: c.poset.ideal_mask(mask).bit_count(), _TABLE_FORMS)
     return _least_weight_forms(c.subspace, _support_mask, closure.__getitem__, budget, table)
 
 
@@ -175,20 +161,9 @@ def exhaustive_flags(c: LinearCode, budget: int | None = DEFAULT_BUDGET) -> list
     return _maximal_flags(c.subspace, *_exhaustive(c, budget))
 
 
-def _subspaces(s: Subspace, forms) -> list[Subspace]:
-    """The subspaces of ``s`` with the given coefficient forms, each
-    spanned by its form's rows times the basis of ``s``: an RREF form times
-    an RREF basis is in RREF (see ``linalg._iter_subspaces``)."""
-    field, basis, n = s.field, s.basis, s.n
-    return [
-        Subspace._trusted(field, n, tuple(_combine(field, x, basis, n) for x in form))
-        for form in forms
-    ]
-
-
 def _maximal_flags(s: Subspace, hierarchy, achievers) -> list[Flag]:
     """Depth-first search for nested achievers, each level in enumeration order."""
-    levels = [_subspaces(s, forms) for forms in achievers]
+    levels = [[_form_subspace(s, form) for form in forms] for forms in achievers]
 
     def extend(stack):
         if len(stack) == len(levels):

@@ -15,7 +15,7 @@ from posetcodes import (
 )
 from posetcodes import cli, counting, verify
 from posetcodes.codes import analyze_code
-from posetcodes.errors import check_budget
+from posetcodes.errors import _Memo, check_budget
 from conftest import GENERATORS
 
 F2 = GF(2)
@@ -92,3 +92,21 @@ def test_check_budget_rule():
         check_budget(None, 10**6, "more than {budget}")
     assert str(exc.value) == "more than 1000000"
     assert (exc.value.count, exc.value.budget) == (None, 10**6)
+
+
+def test_memo_computes_each_key_once_and_empties_at_its_limit():
+    calls = []
+
+    def of(key):
+        calls.append(key)
+        return key * key
+
+    memo = _Memo(of, 3)
+    assert [memo[k] for k in (1, 2, 1, 3, 2)] == [1, 4, 1, 9, 4]
+    assert calls == [1, 2, 3] and len(memo) == 3
+    # a fourth key empties the memo first, so it holds only that key
+    assert memo[4] == 16 and dict(memo) == {4: 16}
+    # and it keeps answering, computing the forgotten keys again
+    assert [memo[k] for k in (1, 4, 2)] == [1, 16, 4]
+    assert calls == [1, 2, 3, 4, 1, 2] and len(memo) == 3
+    assert memo[3] == 9 and dict(memo) == {3: 9}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetcodes import cli, verify
+from posetcodes import LengthMismatch, cli, load_code, load_poset, verify
 from posetcodes.cli import main
 from posetcodes.linalg import DEFAULT_BUDGET, gaussian_row
 from conftest import DEMO, REPO_ROOT
@@ -93,6 +93,19 @@ class TestHierarchy:
         code, report = run_cli(capsys, "hierarchy", "--poset", RT_POSET, "--code", RT_CODE)
         assert code == 0
         assert report["hierarchy"] == [5]
+
+    def test_public_loaders_build_the_cli_code(self):
+        def cli_code(poset, code):
+            return cli._load_instance(SimpleNamespace(poset=poset, code=code, flatten="auto"))
+
+        assert load_code(CODE27, load_poset(WEAK)) == cli_code(WEAK, CODE27)
+        rt = load_code(RT_CODE, load_poset(RT_POSET), "col", (3, 2))
+        assert rt == cli_code(RT_POSET, RT_CODE)
+        # read column-major, the 3x2 block lands one column per chain
+        assert rt.subspace.basis == ((0, 1, 0, 0, 0, 1),)
+        assert load_code(RT_CODE, load_poset(RT_POSET)).subspace.basis == ((0, 0, 1, 0, 0, 1),)
+        with pytest.raises(LengthMismatch, match="code length 27 does not match poset size 3"):
+            load_code(CODE27, load_poset(CHAIN3))
 
 
 class TestChainAndFlag:
@@ -206,13 +219,21 @@ class TestBoundAndCensus:
         assert report["nu"] == [2] * m
         assert report["bound"] == str(m * (4 + 1))
 
-    def test_invalid_partition_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        (
+            ('{"chains": [[1, 2], [2, 3]]}', "partition element 2 repeated"),
+            ('{"chains": [1, 2]}', '"chains" must be a list of element lists'),
+        ),
+    )
+    def test_invalid_partition_exits_2(self, capsys, tmp_path, text, message):
         part = tmp_path / "bad.json"
-        part.write_text('{"chains": [[1, 2], [2, 3]]}')
+        part.write_text(text)
         code = main(
             ["bound", "--poset", str(CHAIN3), "--q", "2", "--partition", str(part)]
         )
         assert code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestVerify:
@@ -241,8 +262,18 @@ class TestVerify:
         failed = [c for c in report["checks"] if not c["ok"]]
         assert failed and failed[0]["name"] == "expected_hierarchy"
 
-    def test_requires_code_or_batch(self, capsys):
-        assert main(["verify"]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            ([], "either --code (instance mode) or --batch (batch mode) is required"),
+            (["--expect", EXPECT_OK], "--expect requires --code"),
+            (["--code", CODE27], "instance mode requires both --poset and --code"),
+        ),
+        ids=("neither", "expect-alone", "code-alone"),
+    )
+    def test_requires_code_or_batch(self, capsys, argv, message):
+        assert main(["verify", *map(str, argv)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -339,6 +370,20 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         bad.write_text('{"chain": 3, "antichain": 3}')
         assert main(["hierarchy", "--poset", str(bad), "--code", str(CODE27)]) == 2
+
+    def test_column_major_reading_needs_disjoint_chains(self, capsys):
+        argv = ["hierarchy", "--poset", WEAK, "--code", CODE27, "--flatten", "col"]
+        assert main(list(map(str, argv))) == 2
+        message = "column-major flattening requires the chain shape (length, count)"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_short_generator_line_exits_2(self, capsys, tmp_path):
+        poset, code = tmp_path / "p.json", tmp_path / "c.txt"
+        poset.write_text('{"disjoint_chains": {"length": 2, "count": 2}}')
+        code.write_text("2 4 1\n1 0\n1\n")
+        assert main(["hierarchy", "--poset", str(poset), "--code", str(code)]) == 2
+        message = "generator 1: every line must have 2 entries"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_length_mismatch_exits_2(self, tmp_path):
         poset = tmp_path / "p.json"
@@ -596,6 +641,7 @@ INVALID_POSETS = {
     '{"chain": -4}': "chain length and count must be positive, got (-4, 1)",
     '{"antichain": -4}': "ground set size must be positive, got -4",
     '{"n": 3, "covers": [[1, 2], [1, 5]]}': "cover pair (1, 5) outside 1..3",
+    '{"n": 2, "covers": [[1]]}': '"covers" must be a list of [a, b] pairs',
 }
 
 

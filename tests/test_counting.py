@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import Counter
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -286,20 +285,20 @@ class TestSharedLattice:
         p, field, r = disjoint_chains(2, 3), GF(2), 3
         lattice = counting._shared_lattice(p, 1 << p.n)
         held = []
-        count_chains = counting._count_chains
 
-        def searched(levels):
-            # the memo is a local of the replay's frame; the profile whose
-            # chains are searched now joins it next
-            held.append(len(sys._getframe(1).f_locals["verdicts"]) + 1)
-            return count_chains(levels)
+        class Recorded(counting._Memo):
+            # the keys held once each profile's chains are searched
+            def __missing__(self, key):
+                value = super().__missing__(key)
+                held.append(len(self))
+                return value
 
         def replayed():
             held.clear()
             forms = _rref_canonical_forms(field, r, p.n)
             return counting._shared_census(field, r, forms, lattice)
 
-        monkeypatch.setattr(counting, "_count_chains", searched)
+        monkeypatch.setattr(counting, "_Memo", Recorded)
         expected = census_per_code(p, 2, r)[1][r - 1]
         assert 0 < expected < gaussian_binomial(p.n, r, 2)
         assert replayed() == expected

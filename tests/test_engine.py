@@ -91,7 +91,7 @@ def test_both_level_builders_match_the_oracles(family, q):
         hierarchy = exhaustive_hierarchy(code)
         flags = exhaustive_flags(code)
         first = flags[0] if flags else None
-        top = code.poset.ideal_mask(_code_support_mask(code))
+        top = code.poset.ideal_mask(_code_support_mask(code.subspace))
         # S has at most 2^n ideals, so this record is never capped
         walk = _ideal_walk(code.poset, top, 1 << code.n)
         for build, levels in (
@@ -131,7 +131,7 @@ def test_witness_subspaces_pass_full_validation(q):
             n = rng.randint(1, 10)
             k = rng.randint(1, min(WITNESS_K[q], n))
             code = random_code(rng, f, random_poset(rng, family, n), k)
-            top = code.poset.ideal_mask(_code_support_mask(code))
+            top = code.poset.ideal_mask(_code_support_mask(code.subspace))
             walk = _ideal_walk(code.poset, top, 1 << n)
             table = _word_table(code)
             ideal_levels = _least_ideals(code.k, _ideal_records(code, top, walk))
@@ -163,7 +163,7 @@ def _table_cases(name, q, count):
             n = rng.randint(1, 7)
             k = rng.randint(1, min(TABLE_K[q], n))
             code = random_code(rng, GF(q), random_poset(rng, family, n), k)
-            yield code, code.poset.ideal_mask(_code_support_mask(code))
+            yield code, code.poset.ideal_mask(_code_support_mask(code.subspace))
 
 
 @pytest.mark.parametrize("q", TABLE_K)
@@ -290,7 +290,7 @@ def test_coefficients_within_every_ideal_are_the_kernel_rref(q):
                 x: _combine(field, x, code.subspace.basis, n)
                 for x in product(range(q), repeat=code.k)
             }
-            top = code.poset.ideal_mask(_code_support_mask(code))
+            top = code.poset.ideal_mask(_code_support_mask(code.subspace))
             for ideal in _walk_ideals(top, _ideal_walk(code.poset, top, 1 << n)):
                 kernel = [
                     x
@@ -839,7 +839,7 @@ def test_wei_duality_across_both_paths(monkeypatch):
 
 def _has_flag_by_each_builder(code):
     """Whether the levels of each level builder have a chain."""
-    top = code.poset.ideal_mask(_code_support_mask(code))
+    top = code.poset.ideal_mask(_code_support_mask(code.subspace))
     walk = _ideal_walk(code.poset, top, 1 << code.n)
     return [
         bool(CodeAnalysis(code, levels).flag_count)

@@ -18,7 +18,7 @@ from posetcodes.codes import (
     rt_weight,
     support_of_vector,
 )
-from posetcodes.linalg import DEFAULT_BUDGET, enumerate_subspaces, is_subspace_of
+from posetcodes.linalg import DEFAULT_BUDGET, _form_subspace, enumerate_subspaces, is_subspace_of
 from posetcodes.poset import disjoint_chains
 from posetcodes.random_instances import (
     POSET_FAMILIES,
@@ -432,7 +432,7 @@ def assert_forms_match_the_subspace_oracle(q):
         assert verify.exhaustive_hierarchy(code) == hier
         got, forms = verify._poset_achievers(code, DEFAULT_BUDGET, table)
         assert got == hier
-        assert [verify._subspaces(s, level) for level in forms] == achievers
+        assert [[_form_subspace(s, form) for form in level] for level in forms] == achievers
         assert verify.exhaustive_flags(code) == reference_flags(hier, achievers)
         wei = reference_least_weight(s, support_union_size)[0]
         assert support_union_hierarchy(s, DEFAULT_BUDGET, table) == wei
